@@ -1,10 +1,9 @@
 """Event-driven connection engine and the composable client agents."""
 
-from .agents import build_ack, build_agents, lenient_decode_tp
+from .agents import build_ack, build_agents
 from .connection import (
     AGENT_ORDER,
     Connection,
-    bundle_and_send,
     FULL_ROSTER,
     HandshakeOutcome,
     HandshakeStage,
@@ -12,17 +11,14 @@ from .connection import (
     MAX_DATAGRAM_SIZE,
     PrerequisiteError,
     perform_handshake,
-    start_connection,
+    unfinished_stage,
 )
 from .events import (
-    ConnectionClosed,
     Event,
-    FramesQueued,
     LossDetected,
     NewKeysAvailable,
     PacketReceived,
     PacketSent,
-    StreamDataReadable,
     Timeout,
 )
 from .streams import FlowControlAssertion, StreamRecv, StreamState
@@ -30,11 +26,9 @@ from .streams import FlowControlAssertion, StreamRecv, StreamState
 __all__ = [
     "AGENT_ORDER",
     "Connection",
-    "ConnectionClosed",
     "Event",
     "FULL_ROSTER",
     "FlowControlAssertion",
-    "FramesQueued",
     "HandshakeOutcome",
     "HandshakeStage",
     "INITIAL_DATAGRAM_MIN",
@@ -44,14 +38,11 @@ __all__ = [
     "PacketReceived",
     "PacketSent",
     "PrerequisiteError",
-    "StreamDataReadable",
     "StreamRecv",
     "StreamState",
     "Timeout",
     "build_ack",
     "build_agents",
-    "bundle_and_send",
-    "lenient_decode_tp",
     "perform_handshake",
-    "start_connection",
+    "unfinished_stage",
 ]

@@ -1,8 +1,10 @@
-"""The nine standard agents.
+"""The eight standard agents.
 
 Each one owns a reusable slice of client behaviour; scenarios enable
 exactly the subset they need. Agents are confined to one connection and
-communicate only through the event bus and the connection state.
+communicate only through the event bus and the connection state. The
+parser is fed datagrams by ``Connection.pump`` and the bundler is
+flushed by it; the others act on the events they subscribe to.
 """
 
 from __future__ import annotations
@@ -27,24 +29,14 @@ from ..wire import (
     ParseError,
     StreamDataBlockedFrame,
     StreamFrame,
-    TransportParameters,
     is_ack_eliciting,
+    lenient_decode_tp,
     parse_frames,
     parse_header,
     serialize_frame,
 )
-from ..wire.varint import decode_varint
 from .connection import MAX_DATAGRAM_SIZE, INITIAL_DATAGRAM_MIN, RETRANSMISSION_TIMER_MS
-from .events import (
-    ConnectionClosed,
-    FramesQueued,
-    LossDetected,
-    NewKeysAvailable,
-    PacketReceived,
-    PacketSent,
-    StreamDataReadable,
-    Timeout,
-)
+from .events import LossDetected, NewKeysAvailable, PacketReceived, PacketSent, Timeout
 from .streams import StreamRecv
 
 _LONG_TYPE_LEVELS = (
@@ -63,14 +55,6 @@ class Agent:
 
     def handle(self, conn, event) -> None:
         pass
-
-
-class SocketAgent(Agent):
-    """UDP plumbing handle. The datagram socket itself lives on the
-    connection; enabling this agent is what allows it to be used."""
-
-    name = "socket"
-    subscriptions = ()
 
 
 class ParserAgent(Agent):
@@ -101,10 +85,9 @@ class ParserAgent(Agent):
             packet_type = (first & 0x30) >> 4
             if packet_type == 3:  # retry: header only, out of scenario scope
                 try:
-                    header, _ = parse_header(data)
+                    parse_header(data)
                 except ParseError:
                     return
-                conn.retry_received = header
                 if conn.trace:
                     conn.trace.log_packet("rx", "none", data, len(conn.scid))
                 return
@@ -153,29 +136,7 @@ class ParserAgent(Agent):
             conn.trace.log_packet(
                 "rx", level.label, cleartext_packet_bytes(header, plaintext), len(conn.scid)
             )
-        conn.emit(
-            PacketReceived(header=header, frames=frames, level=level, timestamp=time.monotonic())
-        )
-
-
-def lenient_decode_tp(raw: bytes) -> TransportParameters:
-    """Best-effort decode: first occurrence wins, trailing garbage dropped."""
-    entries: dict[int, bytes] = {}
-    pos = 0
-    while pos < len(raw):
-        try:
-            param_id, used, _ = decode_varint(raw, pos)
-            pos += used
-            length, used, _ = decode_varint(raw, pos)
-            pos += used
-        except ParseError:
-            break
-        value = raw[pos : pos + length]
-        pos += length
-        if len(value) < length:
-            break
-        entries.setdefault(param_id, value)
-    return TransportParameters(entries=entries)
+        conn.emit(PacketReceived(header=header, frames=frames, level=level))
 
 
 class TlsAgent(Agent):
@@ -279,9 +240,7 @@ class FlowControlAgent(Agent):
     def handle(self, conn, event: PacketReceived) -> None:
         for frame in event.frames:
             if isinstance(frame, StreamFrame):
-                stream = conn.stream(frame.stream_id)
-                if stream.recv.add(frame.offset, frame.data, frame.fin):
-                    conn.emit(StreamDataReadable(stream_id=frame.stream_id))
+                conn.stream(frame.stream_id).recv.add(frame.offset, frame.data, frame.fin)
             elif isinstance(frame, MaxStreamDataFrame):
                 stream = conn.stream(frame.stream_id)
                 stream.send.limit = max(stream.send.limit, frame.max_stream_data)
@@ -372,10 +331,10 @@ class RetransmissionAgent(Agent):
 
 class BundlerAgent(Agent):
     """Drains frame queues into protected packets, splitting oversized data
-    frames and padding client Initial datagrams to the required floor."""
+    frames and padding client Initial datagrams to the required floor.
+    Flushed by the connection rather than by events."""
 
     name = "bundler"
-    subscriptions = (FramesQueued, NewKeysAvailable)
 
     def flush(self, conn) -> None:
         if conn.sock is None:
@@ -390,7 +349,7 @@ class BundlerAgent(Agent):
             if not queue:
                 continue
             if conn.send_keys(level) is None:
-                continue  # deferred until NewKeysAvailable
+                continue  # deferred: a later flush sends it once keys exist
             while queue:
                 self._send_one(conn, level, queue)
 
@@ -417,7 +376,7 @@ class BundlerAgent(Agent):
         if not taken:
             # a single unsplittable frame larger than a datagram is a bug
             raise ValueError(f"frame too large to bundle at {level.label}")
-        if level is EncryptionLevel.INITIAL and conn.role == "client":
+        if level is EncryptionLevel.INITIAL:
             floor = INITIAL_DATAGRAM_MIN - conn._header_overhead(level, pn_length) - AEAD_TAG_LEN
             if used < floor:
                 taken.append(PaddingFrame(count=floor - used))
@@ -463,18 +422,17 @@ class ClosingAgent(Agent):
             if isinstance(frame, ConnectionCloseFrame):
                 conn.close_received = (frame.error_code, frame.reason)
                 conn.closed = True
-                conn.emit(ConnectionClosed(error_code=frame.error_code, reason=frame.reason))
 
 
 def build_agents(conn) -> dict[str, Agent]:
-    return {
-        "socket": SocketAgent(),
-        "parser": ParserAgent(),
-        "tls": TlsAgent(),
-        "ack": AckAgent(),
-        "flow_control": FlowControlAgent(),
-        "handshake": HandshakeAgent(),
-        "retransmission": RetransmissionAgent(),
-        "bundler": BundlerAgent(),
-        "closing": ClosingAgent(),
-    }
+    agents = (
+        ParserAgent(),
+        TlsAgent(),
+        AckAgent(),
+        FlowControlAgent(),
+        HandshakeAgent(),
+        RetransmissionAgent(),
+        BundlerAgent(),
+        ClosingAgent(),
+    )
+    return {agent.name: agent for agent in agents}

@@ -17,12 +17,14 @@ from ..protection import (
     EncryptionLevel,
     KeyMaterial,
     PACKET_TYPE_FOR_LEVEL,
+    SPACE_FOR_LEVEL,
     cleartext_packet_bytes,
     derive_initial_keys,
     packet_number_length,
     protect,
 )
 from ..wire import (
+    QUIC_V1,
     ConnectionCloseFrame,
     CryptoFrame,
     Frame,
@@ -35,26 +37,12 @@ from ..wire import (
     serialize_frames,
 )
 from ..wire.transport_params import TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE
-from .events import Event, FramesQueued, PacketSent, Timeout
+from .events import Event, PacketSent, Timeout
 from .streams import FlowControlAssertion, StreamState
 
 MAX_DATAGRAM_SIZE = 1252
 INITIAL_DATAGRAM_MIN = 1200
 RETRANSMISSION_TIMER_MS = 500
-
-FULL_ROSTER = frozenset(
-    {
-        "socket",
-        "parser",
-        "tls",
-        "ack",
-        "flow_control",
-        "handshake",
-        "retransmission",
-        "bundler",
-        "closing",
-    }
-)
 
 # fixed dispatch order, so event handling is reproducible
 AGENT_ORDER = (
@@ -66,8 +54,8 @@ AGENT_ORDER = (
     "retransmission",
     "bundler",
     "closing",
-    "socket",
 )
+FULL_ROSTER = frozenset(AGENT_ORDER)
 
 
 class PrerequisiteError(Exception):
@@ -105,14 +93,6 @@ class PacketSpace:
     sent: dict[int, SentPacket] = field(default_factory=dict)
 
 
-def _space_name(level: EncryptionLevel) -> str:
-    if level is EncryptionLevel.INITIAL:
-        return "initial"
-    if level is EncryptionLevel.HANDSHAKE:
-        return "handshake"
-    return "application"  # 0-RTT and 1-RTT share a number space
-
-
 class Connection:
     """Client-side QUIC connection driven by a roster of agents."""
 
@@ -122,27 +102,21 @@ class Connection:
         port: int,
         provider,
         roster: frozenset[str] | set[str] = FULL_ROSTER,
-        local_tp: TransportParameters | None = None,
         trace=None,
-        version: int = 0x00000001,
-        dcid: bytes | None = None,
-        scid: bytes | None = None,
+        version: int = QUIC_V1,
         assumed_peer_tp: TransportParameters | None = None,
         hold_client_finished: bool = False,
-        idle_timeout_ms: int | None = None,
     ):
         self.host = host
         self.port = port
         self.provider = provider
         self.roster = frozenset(roster)
-        self.local_tp = local_tp if local_tp is not None else TransportParameters()
         self.trace = trace
         self.version = version
-        self.role = "client"
 
-        self.original_dcid = dcid if dcid is not None else os.urandom(8)
+        self.original_dcid = os.urandom(8)
         self.dcid = self.original_dcid
-        self.scid = scid if scid is not None else os.urandom(8)
+        self.scid = os.urandom(8)
         self._server_cid_seen = False
 
         self.spaces = {
@@ -157,8 +131,6 @@ class Connection:
 
         self._bus: list[Event] = []
         self._agents: dict[str, object] = {}
-        self._effects: list[tuple[str, str, object]] | None = None
-        self._current_agent: str | None = None
         self._held_crypto: list[tuple[EncryptionLevel, bytes]] = []
         self._crypto_offsets: dict[EncryptionLevel, int] = {}
 
@@ -182,23 +154,16 @@ class Connection:
         self.client_finished_sent = False
 
         # observations scenarios read back
-        self.idle_timeout_ms = idle_timeout_ms
-        self.idle_timed_out = False
-        self._last_activity = time.monotonic()
-
         self.bytes_received = 0
         self.bytes_sent = 0
         self.decrypt_failures: dict[EncryptionLevel, int] = {}
         self.version_negotiation: PacketHeader | None = None
         self.malformed_version_negotiation: str | None = None
-        self.retry_received: PacketHeader | None = None
         self.empty_stream_frames_received = 0
         self.blocked_frames_received = 0
         self.flagged_acks_received = 0
         self.frame_parse_errors: list[str] = []
         self.agent_errors: list[tuple[str, str]] = []
-
-        self._start_time = time.monotonic()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -224,7 +189,7 @@ class Connection:
 
         # probes offering an unknown version still protect their Initial with
         # v1 keys; the server must answer from the header alone
-        client_keys, server_keys = derive_initial_keys(self.original_dcid, version=0x00000001)
+        client_keys, server_keys = derive_initial_keys(self.original_dcid, version=QUIC_V1)
         self.keys[(EncryptionLevel.INITIAL, "client")] = client_keys
         self.keys[(EncryptionLevel.INITIAL, "server")] = server_keys
 
@@ -245,25 +210,17 @@ class Connection:
     def emit(self, event: Event) -> None:
         self._bus.append(event)
 
-    def dispatch(self, event: Event) -> list[tuple[str, str, object]]:
+    def dispatch(self, event: Event) -> None:
         """Run every enabled, subscribed agent on one event, in the fixed
-        order. Returns the effects they performed (for introspection).
-        A failing handler is isolated and recorded; dispatch continues."""
-        effects: list[tuple[str, str, object]] = []
-        previous, self._effects = self._effects, effects
-        try:
-            for name in AGENT_ORDER:
-                if name not in self.roster:
-                    continue
-                agent = self._agents.get(name)
-                if agent is None or not isinstance(event, agent.subscriptions):
-                    continue
-                self._current_agent = name
-                self._run_handler(name, lambda a=agent: a.handle(self, event))
-        finally:
-            self._effects = previous
-            self._current_agent = None
-        return effects
+        order. A failing handler is isolated and recorded; dispatch
+        continues."""
+        for name in AGENT_ORDER:
+            if name not in self.roster:
+                continue
+            agent = self._agents.get(name)
+            if agent is None or not isinstance(event, agent.subscriptions):
+                continue
+            self._run_handler(name, lambda a=agent: a.handle(self, event))
 
     def _run_handler(self, name: str, thunk) -> None:
         try:
@@ -274,10 +231,6 @@ class Connection:
             self.agent_errors.append((name, repr(exc)))
             if self.trace:
                 self.trace.note("agent_error", {"agent": name, "error": repr(exc)})
-
-    def _record_effect(self, kind: str, detail: object) -> None:
-        if self._effects is not None:
-            self._effects.append((getattr(self, "_current_agent", None) or "-", kind, detail))
 
     def _drain_bus(self) -> None:
         while self._bus:
@@ -303,7 +256,6 @@ class Connection:
                 if not datagram:
                     break
                 self.bytes_received += len(datagram)
-                self._last_activity = time.monotonic()
                 parser = self._agents.get("parser")
                 if parser is not None and "parser" in self.roster:
                     self._run_handler(
@@ -317,20 +269,12 @@ class Connection:
         self._drain_bus()
         self._flush()
         self._drain_bus()
-        if (
-            self.idle_timeout_ms is not None
-            and not self.idle_timed_out
-            and time.monotonic() - self._last_activity > self.idle_timeout_ms / 1000
-        ):
-            self.idle_timed_out = True
 
     def run_until(self, predicate, timeout: float) -> bool:
         deadline = time.monotonic() + timeout
         while True:
             if predicate():
                 return True
-            if self.idle_timed_out:
-                return bool(predicate())
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return bool(predicate())
@@ -345,11 +289,6 @@ class Connection:
 
     def arm_timer(self, timer_id: str, delay_ms: int) -> None:
         self.timers[timer_id] = time.monotonic() + delay_ms / 1000
-        self._record_effect("arm_timer", timer_id)
-
-    def cancel_timer(self, timer_id: str) -> None:
-        self.timers.pop(timer_id, None)
-        self._record_effect("cancel_timer", timer_id)
 
     # -- keys -------------------------------------------------------------
 
@@ -361,30 +300,26 @@ class Connection:
         return True
 
     def send_keys(self, level: EncryptionLevel) -> KeyMaterial | None:
-        return self.keys.get((level, self.role))
+        return self.keys.get((level, "client"))
 
     def recv_keys(self, level: EncryptionLevel) -> KeyMaterial | None:
-        peer = "server" if self.role == "client" else "client"
         if level is EncryptionLevel.ZERO_RTT:
             return None  # servers never send 0-RTT
-        return self.keys.get((level, peer))
+        return self.keys.get((level, "server"))
 
     # -- send path ----------------------------------------------------------
 
     def space(self, level: EncryptionLevel) -> PacketSpace:
-        return self.spaces[_space_name(level)]
+        return self.spaces[SPACE_FOR_LEVEL[level]]
 
     def queue_frame(self, level: EncryptionLevel, frame: Frame) -> None:
         self.queues[level].append(frame)
-        self._record_effect("queue_frame", (level, frame))
-        self.emit(FramesQueued(level=level))
 
     def queue_crypto(self, level: EncryptionLevel, data: bytes, offset: int | None = None) -> None:
         start = offset if offset is not None else self._crypto_offsets.setdefault(level, 0)
         self.queues[level].append(CryptoFrame(offset=start, data=data))
         if offset is None:
             self._crypto_offsets[level] = start + len(data)
-        self.emit(FramesQueued(level=level))
 
     def send_stream(
         self,
@@ -520,13 +455,9 @@ class Connection:
             self.trace.log_packet(
                 "tx", level.label, cleartext_packet_bytes(header, plaintext), len(self.dcid)
             )
-        event = PacketSent(header=header, frames=frames, level=level, timestamp=time.monotonic())
+        event = PacketSent(header=header, frames=frames, level=level)
         self.emit(event)
-        self._record_effect("send_packet", (level, pn))
         return event
-
-    def send_raw(self, datagram: bytes) -> None:
-        self._sendto(datagram)
 
     def _sendto(self, datagram: bytes) -> None:
         if self.sock is None:
@@ -551,38 +482,6 @@ class Connection:
         if self.trace:
             self.trace.log_undecryptable(level.label, raw)
 
-    @property
-    def total_decrypt_failures(self) -> int:
-        return sum(self.decrypt_failures.values())
-
-
-def start_connection(
-    host: str,
-    port: int,
-    roster: frozenset[str] | set[str],
-    provider,
-    **kwargs,
-) -> Connection:
-    """Open a fresh connection with exactly the requested agents enabled."""
-    conn = Connection(host, port, provider, roster=roster, **kwargs)
-    conn.start()
-    return conn
-
-
-def bundle_and_send(conn: Connection, level: EncryptionLevel) -> PacketSent | None:
-    """Drain one packet's worth of the frame queue at ``level``.
-
-    Returns the PacketSent event, or None when the queue is empty or the
-    level's keys are not yet available (the send stays deferred until
-    NewKeysAvailable lets the bundler pick it up)."""
-    queue = conn.queues[level]
-    if not queue or conn.send_keys(level) is None:
-        return None
-    bundler = conn._agents.get("bundler")
-    if bundler is None or "bundler" not in conn.roster:
-        return None
-    return bundler._send_one(conn, level, queue)
-
 
 def perform_handshake(conn: Connection, timeout_ms: int = 10_000) -> HandshakeOutcome:
     """Drive the connection until the 1-RTT exchange finished, or report
@@ -594,8 +493,13 @@ def perform_handshake(conn: Connection, timeout_ms: int = 10_000) -> HandshakeOu
         ):
             return HandshakeOutcome(False, HandshakeStage.KEYS_UNAVAILABLE)
         return HandshakeOutcome(True)
+    return HandshakeOutcome(False, unfinished_stage(conn))
+
+
+def unfinished_stage(conn: Connection) -> HandshakeStage:
+    """The stage a handshake that has not finished is stuck at."""
     if conn.version_negotiation is not None:
-        return HandshakeOutcome(False, HandshakeStage.VERSION_MISMATCH)
+        return HandshakeStage.VERSION_MISMATCH
     if conn.bytes_received == 0:
-        return HandshakeOutcome(False, HandshakeStage.NO_RESPONSE)
-    return HandshakeOutcome(False, HandshakeStage.INCOMPLETE)
+        return HandshakeStage.NO_RESPONSE
+    return HandshakeStage.INCOMPLETE

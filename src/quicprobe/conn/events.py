@@ -17,7 +17,6 @@ class PacketReceived:
     header: PacketHeader
     frames: list[Frame]
     level: EncryptionLevel
-    timestamp: float
 
 
 @dataclass
@@ -25,22 +24,11 @@ class PacketSent:
     header: PacketHeader
     frames: list[Frame]
     level: EncryptionLevel
-    timestamp: float
 
 
 @dataclass
 class NewKeysAvailable:
     level: EncryptionLevel
-
-
-@dataclass
-class FramesQueued:
-    level: EncryptionLevel
-
-
-@dataclass
-class StreamDataReadable:
-    stream_id: int
 
 
 @dataclass
@@ -50,23 +38,8 @@ class LossDetected:
 
 
 @dataclass
-class ConnectionClosed:
-    error_code: int
-    reason: str
-
-
-@dataclass
 class Timeout:
     timer_id: str
 
 
-Event = (
-    PacketReceived
-    | PacketSent
-    | NewKeysAvailable
-    | FramesQueued
-    | StreamDataReadable
-    | LossDetected
-    | ConnectionClosed
-    | Timeout
-)
+Event = PacketReceived | PacketSent | NewKeysAvailable | LossDetected | Timeout

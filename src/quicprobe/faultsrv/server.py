@@ -18,6 +18,7 @@ import threading
 from dataclasses import dataclass, field
 
 from ..protection import (
+    SPACE_FOR_LEVEL,
     DecryptError,
     EncryptionLevel,
     cleartext_packet_bytes,
@@ -27,6 +28,7 @@ from ..protection import (
 )
 from ..protection.provider import NullHandshakeProvider
 from ..wire import (
+    QUIC_V1,
     AckFrame,
     ConnectionCloseFrame,
     CryptoFrame,
@@ -43,15 +45,15 @@ from ..wire import (
     encode_transport_parameters,
     encode_varint,
     is_ack_eliciting,
+    lenient_decode_tp,
     parse_frames,
     serialize_frames,
     serialize_header,
 )
-from ..conn.agents import build_ack, lenient_decode_tp
+from ..conn.agents import build_ack
 from ..conn.streams import StreamRecv
 from .faults import FaultSpec
 
-QUIC_V1 = 0x00000001
 SERVER_PN_LENGTH = 2
 RESPONSE_CHUNK = 900
 
@@ -102,14 +104,6 @@ class _ServerStream:
         self.limit = limit
         self.blocked_at: set[int] = set()
         self.first_chunk_sent = False
-
-
-def _space_name(level: EncryptionLevel) -> str:
-    if level is EncryptionLevel.INITIAL:
-        return "initial"
-    if level is EncryptionLevel.HANDSHAKE:
-        return "handshake"
-    return "application"
 
 
 class _Space:
@@ -170,7 +164,7 @@ class _ServerConn:
         keys = self.keys.get((level, "client"))
         if keys is None:
             return  # e.g. 0-RTT while not accepting early data
-        space = self.spaces[_space_name(level)]
+        space = self.spaces[SPACE_FOR_LEVEL[level]]
         try:
             header, plaintext = unprotect(
                 data, keys, largest_pn=space.largest_received, short_dcid_len=len(self.scid)
@@ -352,7 +346,7 @@ class _ServerConn:
             keys = self.keys.get((level, "server"))
             if keys is None:
                 continue
-            space = self.spaces[_space_name(level)]
+            space = self.spaces[SPACE_FOR_LEVEL[level]]
             pn = space.next_pn
             space.next_pn += 1
             payload = raw + (serialize_frames(frames) if frames else b"")
@@ -443,6 +437,7 @@ class FaultServer:
         self.sock: socket.socket | None = None
         self.conn: _ServerConn | None = None
         self.sent_log: list[dict] = []
+        self.errors: list[str] = []  # handler exceptions, one repr each
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
@@ -516,8 +511,8 @@ class FaultServer:
                     return
                 try:
                     self._handle_datagram(data, addr)
-                except Exception:  # a handling bug must not kill the server
-                    pass
+                except Exception as exc:  # a handling bug must not kill the server
+                    self.errors.append(repr(exc))
 
     def _handle_datagram(self, data: bytes, addr) -> None:
         if not data:

@@ -19,11 +19,10 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
-from ..wire import PacketHeader, PacketType, parse_header, serialize_header
+from ..wire import QUIC_V1, PacketHeader, PacketType, parse_header, serialize_header
 from ..wire.errors import TruncationError
 from ..wire.varint import decode_varint
 
-QUIC_V1 = 0x00000001
 INITIAL_SALT_V1 = bytes.fromhex("38762cf7f55934b34d179ae6a4c80cadccbb7f0a")
 
 AEAD_KEY_LEN = 16
@@ -65,6 +64,13 @@ LEVEL_FOR_PACKET_TYPE = {
     PacketType.ONE_RTT: EncryptionLevel.ONE_RTT,
 }
 PACKET_TYPE_FOR_LEVEL = {v: k for k, v in LEVEL_FOR_PACKET_TYPE.items()}
+# packet number space per level: 0-RTT and 1-RTT share one
+SPACE_FOR_LEVEL = {
+    EncryptionLevel.INITIAL: "initial",
+    EncryptionLevel.ZERO_RTT: "application",
+    EncryptionLevel.HANDSHAKE: "handshake",
+    EncryptionLevel.ONE_RTT: "application",
+}
 
 
 @dataclass(frozen=True)

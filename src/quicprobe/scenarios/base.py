@@ -59,7 +59,6 @@ class ScenarioContext:
             self.target["port"],
             provider,
             roster=roster,
-            local_tp=tp,
             trace=self.trace,
             **conn_kwargs,
         )
@@ -88,14 +87,26 @@ class Scenario:
         raise NotImplementedError
 
 
+# the code of a failed handshake where the handshake is what a scenario tests
+HANDSHAKE_FAILURE_CODES = {
+    HandshakeStage.NO_RESPONSE: codes.PREREQ_NO_RESPONSE,
+    HandshakeStage.VERSION_MISMATCH: codes.HS_VERSION_MISMATCH,
+    HandshakeStage.INCOMPLETE: codes.HS_STALLED,
+    HandshakeStage.KEYS_UNAVAILABLE: codes.HS_ONE_RTT_KEYS_UNUSABLE,
+}
+
+# the code of a failed handshake that a scenario only needs as a prerequisite
+PREREQUISITE_CODES = {
+    HandshakeStage.NO_RESPONSE: codes.PREREQ_NO_RESPONSE,
+    HandshakeStage.VERSION_MISMATCH: codes.PREREQ_VERSION_MISMATCH,
+    HandshakeStage.INCOMPLETE: codes.PREREQ_HANDSHAKE_STALLED,
+    HandshakeStage.KEYS_UNAVAILABLE: codes.PREREQ_HANDSHAKE_KEYS,
+}
+
+
 def prerequisite_code(stage: HandshakeStage) -> int:
     """Map a failed prerequisite handshake onto the 200-255 band."""
-    return {
-        HandshakeStage.NO_RESPONSE: codes.PREREQ_NO_RESPONSE,
-        HandshakeStage.VERSION_MISMATCH: codes.PREREQ_VERSION_MISMATCH,
-        HandshakeStage.INCOMPLETE: codes.PREREQ_HANDSHAKE_STALLED,
-        HandshakeStage.KEYS_UNAVAILABLE: codes.PREREQ_HANDSHAKE_KEYS,
-    }[stage]
+    return PREREQUISITE_CODES[stage]
 
 
 def stream_frames_from_trace(

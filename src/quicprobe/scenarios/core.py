@@ -9,12 +9,18 @@ from __future__ import annotations
 
 import time
 
-from ..conn import FULL_ROSTER, perform_handshake
-from ..conn.agents import lenient_decode_tp
+from ..conn import FULL_ROSTER, perform_handshake, unfinished_stage
 from ..protection import EncryptionLevel
-from ..wire import PingFrame, StreamFrame
+from ..wire import PingFrame, StreamFrame, lenient_decode_tp
 from . import codes
-from .base import Scenario, ScenarioContext, default_client_tp, prerequisite_code, stream_frames_from_trace
+from .base import (
+    HANDSHAKE_FAILURE_CODES,
+    Scenario,
+    ScenarioContext,
+    default_client_tp,
+    prerequisite_code,
+    stream_frames_from_trace,
+)
 
 # a reserved version of the ?a?a?a?a pattern: servers must negotiate, never speak it
 RESERVED_VERSION = 0x1A2A3A4A
@@ -29,7 +35,7 @@ class VersionNegotiationScenario(Scenario):
 
     def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
         conn = ctx.connect(
-            roster={"socket", "parser", "bundler"},
+            roster={"parser", "bundler"},
             version=RESERVED_VERSION,
         )
         conn.queue_frame(EncryptionLevel.INITIAL, PingFrame())
@@ -64,23 +70,19 @@ class HandshakeScenario(Scenario):
         conn = ctx.connect(roster=FULL_ROSTER)
         outcome = perform_handshake(conn, timeout_ms=int(ctx.timeout_s * 1000))
         if not outcome.succeeded:
-            stage = outcome.stage
-            results = {"stage": stage.value}
-            return {
-                "no_response": codes.PREREQ_NO_RESPONSE,
-                "version_mismatch": codes.HS_VERSION_MISMATCH,
-                "handshake_incomplete": codes.HS_STALLED,
-                "keys_unavailable": codes.HS_ONE_RTT_KEYS_UNUSABLE,
-            }[stage.value], results
-        # probe 1-RTT usability: elicit an acknowledgement under the new keys
+            return HANDSHAKE_FAILURE_CODES[outcome.stage], {"stage": outcome.stage.value}
+        # probe 1-RTT usability: elicit an acknowledgement under the new keys.
+        # Wait for the probe's own ACK: other 1-RTT packets of the
+        # post-handshake flight can arrive before it.
+        app_space = conn.space(EncryptionLevel.ONE_RTT)
+        probe_pn = app_space.next_pn
         conn.queue_frame(EncryptionLevel.ONE_RTT, PingFrame())
         conn.pump(0)
-        app_space = conn.space(EncryptionLevel.ONE_RTT)
         conn.run_until(
-            lambda: conn.total_decrypt_failures > 0 or app_space.received,
+            lambda: conn.decrypt_failures.get(EncryptionLevel.ONE_RTT, 0) > 0
+            or app_space.largest_acked >= probe_pn,
             min(2.0, ctx.timeout_s),
         )
-        conn.pump(0.2)  # settle: catch stragglers of the post-handshake flight
         if conn.decrypt_failures.get(EncryptionLevel.ONE_RTT, 0) > 0:
             return codes.HS_ONE_RTT_KEYS_UNUSABLE, {"stage": "one_rtt_probe"}
         return codes.SUCCESS, {}
@@ -117,16 +119,12 @@ class AddressValidationScenario(Scenario):
 
     def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
         conn = ctx.connect(
-            roster={"socket", "parser", "tls", "retransmission", "bundler", "handshake"},
+            roster={"parser", "tls", "retransmission", "bundler", "handshake"},
             hold_client_finished=True,
         )
         conn.run_until(lambda: conn.client_finished_ready, ctx.timeout_s / 2)
         if not conn.client_finished_ready:
-            if conn.version_negotiation is not None:
-                return codes.PREREQ_VERSION_MISMATCH, {}
-            if conn.bytes_received == 0:
-                return codes.PREREQ_NO_RESPONSE, {}
-            return codes.PREREQ_HANDSHAKE_STALLED, {}
+            return prerequisite_code(unfinished_stage(conn)), {}
         deadline = time.monotonic() + self.SETTLE_S
         while time.monotonic() < deadline:
             conn.pump(0.02)
@@ -217,7 +215,7 @@ class StreamOpeningReorderingScenario(Scenario):
         # no retransmission agent: a timer-driven in-order resend would
         # mask exactly the reordering behaviour this test observes
         conn = ctx.connect(
-            roster={"socket", "parser", "tls", "ack", "flow_control", "handshake", "bundler", "closing"},
+            roster={"parser", "tls", "ack", "flow_control", "handshake", "bundler", "closing"},
         )
         outcome = perform_handshake(conn, timeout_ms=int(ctx.timeout_s * 1000))
         if not outcome.succeeded:

@@ -8,7 +8,6 @@ gracefully.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -82,7 +81,9 @@ class Trace:
 
 
 class TraceBuilder:
-    """Collects one scenario run; append-safe under concurrent targets."""
+    """Collects one scenario run. A builder belongs to one scenario on one
+    thread: ``run_suite`` gives each target thread its own builders, so
+    appends need no lock."""
 
     def __init__(self, scenario: str, scenario_version: int, target: dict):
         self.scenario = scenario
@@ -90,7 +91,6 @@ class TraceBuilder:
         self.target = target
         self.started_at = int(time.time() * 1000)
         self._t0 = time.monotonic()
-        self._lock = threading.Lock()
         self.packets: list[dict] = []
         self.notes: list[dict] = []
 
@@ -105,8 +105,7 @@ class TraceBuilder:
             "cleartext_hex": cleartext.hex(),
             "dcid_len": dcid_len,
         }
-        with self._lock:
-            self.packets.append(entry)
+        self.packets.append(entry)
 
     def log_undecryptable(self, level: str, raw: bytes) -> None:
         entry = {
@@ -116,12 +115,10 @@ class TraceBuilder:
             "decrypt_error": True,
             "ciphertext_hex": raw.hex(),
         }
-        with self._lock:
-            self.packets.append(entry)
+        self.packets.append(entry)
 
     def note(self, kind: str, detail) -> None:
-        with self._lock:
-            self.notes.append({"timestamp_ms": self._offset_ms(), "kind": kind, "detail": detail})
+        self.notes.append({"timestamp_ms": self._offset_ms(), "kind": kind, "detail": detail})
 
     def finalize(self, error_code: int, results: dict | None = None) -> Trace:
         return Trace(

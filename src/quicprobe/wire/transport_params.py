@@ -1,7 +1,8 @@
 """Transport parameter encoding: a sequence of (id, length, value) entries.
 
-Known integer-valued parameters get named accessors; everything else is
-kept byte-exact so traces can report what the peer actually sent.
+Integer-valued parameters are read and written through ``get_int`` and
+``set_int``; every value is kept byte-exact so traces can report what the
+peer actually sent.
 """
 
 from __future__ import annotations
@@ -22,21 +23,10 @@ TP_INITIAL_MAX_STREAMS_BIDI = 0x08
 TP_INITIAL_MAX_STREAMS_UNI = 0x09
 TP_INITIAL_SCID = 0x0F
 
-_INT_VALUED = {
-    TP_MAX_IDLE_TIMEOUT,
-    TP_MAX_UDP_PAYLOAD_SIZE,
-    TP_INITIAL_MAX_DATA,
-    TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL,
-    TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE,
-    TP_INITIAL_MAX_STREAM_DATA_UNI,
-    TP_INITIAL_MAX_STREAMS_BIDI,
-    TP_INITIAL_MAX_STREAMS_UNI,
-}
-
 
 @dataclass
 class TransportParameters:
-    """Ordered id -> raw value map with typed accessors for the ids we use."""
+    """Ordered id -> raw value map with integer accessors."""
 
     entries: dict[int, bytes] = field(default_factory=dict)
 
@@ -53,44 +43,12 @@ class TransportParameters:
         self.entries[param_id] = encode_varint(value)
 
     @property
-    def initial_max_stream_data_bidi_local(self) -> int | None:
-        return self.get_int(TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL)
-
-    @initial_max_stream_data_bidi_local.setter
-    def initial_max_stream_data_bidi_local(self, value: int) -> None:
-        self.set_int(TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL, value)
-
-    @property
     def initial_max_data(self) -> int | None:
         return self.get_int(TP_INITIAL_MAX_DATA)
 
     @initial_max_data.setter
     def initial_max_data(self, value: int) -> None:
         self.set_int(TP_INITIAL_MAX_DATA, value)
-
-    @property
-    def initial_max_streams_bidi(self) -> int | None:
-        return self.get_int(TP_INITIAL_MAX_STREAMS_BIDI)
-
-    @initial_max_streams_bidi.setter
-    def initial_max_streams_bidi(self, value: int) -> None:
-        self.set_int(TP_INITIAL_MAX_STREAMS_BIDI, value)
-
-    @property
-    def max_idle_timeout(self) -> int | None:
-        return self.get_int(TP_MAX_IDLE_TIMEOUT)
-
-    @max_idle_timeout.setter
-    def max_idle_timeout(self, value: int) -> None:
-        self.set_int(TP_MAX_IDLE_TIMEOUT, value)
-
-    @property
-    def original_dcid(self) -> bytes | None:
-        return self.entries.get(TP_ORIGINAL_DCID)
-
-    @original_dcid.setter
-    def original_dcid(self, value: bytes) -> None:
-        self.entries[TP_ORIGINAL_DCID] = value
 
     def as_report(self) -> dict[str, str]:
         """Hex dump of every entry, keyed by id, for trace results."""
@@ -129,15 +87,31 @@ def decode_transport_parameters(buf: bytes) -> TransportParameters:
     return TransportParameters(entries=entries)
 
 
-def known_int_parameter(param_id: int) -> bool:
-    return param_id in _INT_VALUED
+def lenient_decode_tp(raw: bytes) -> TransportParameters:
+    """Best-effort decode: first occurrence wins, trailing garbage dropped."""
+    entries: dict[int, bytes] = {}
+    pos = 0
+    while pos < len(raw):
+        try:
+            param_id, used, _ = decode_varint(raw, pos)
+            pos += used
+            length, used, _ = decode_varint(raw, pos)
+            pos += used
+        except ParseError:
+            break
+        value = raw[pos : pos + length]
+        pos += length
+        if len(value) < length:
+            break
+        entries.setdefault(param_id, value)
+    return TransportParameters(entries=entries)
 
 
 __all__ = [
     "TransportParameters",
     "encode_transport_parameters",
     "decode_transport_parameters",
-    "known_int_parameter",
+    "lenient_decode_tp",
     "TP_ORIGINAL_DCID",
     "TP_MAX_IDLE_TIMEOUT",
     "TP_MAX_UDP_PAYLOAD_SIZE",

@@ -144,13 +144,16 @@ def test_criterion_4_loopback_compliance_baseline():
     report(
         4,
         "compliant server passes all seven scenarios",
-        not bad and len(traces) == 7 and took < 60.0,
-        f"{took:.1f}s" + (f", failures: {bad}" if bad else ""),
+        not bad and len(traces) == 7 and took < 60.0 and not server.errors,
+        f"{took:.1f}s"
+        + (f", failures: {bad}" if bad else "")
+        + (f", server errors: {server.errors}" if server.errors else ""),
     )
 
 
 def test_criterion_5_fault_matrix_orthogonality():
     mismatches = []
+    server_errors = {}
     for fault in sorted(FAULT_EXPECTATIONS):
         server = serve(ServerConfig(fault=FaultSpec(name=fault)))
         try:
@@ -159,6 +162,8 @@ def test_criterion_5_fault_matrix_orthogonality():
             )
         finally:
             server.stop()
+        if server.errors:
+            server_errors[fault] = server.errors
         expected = FAULT_EXPECTATIONS[fault]
         for trace in traces:
             want = expected.get(trace.scenario, 0)
@@ -167,8 +172,10 @@ def test_criterion_5_fault_matrix_orthogonality():
     report(
         5,
         "13-fault matrix: designated codes only, everything else 0",
-        not mismatches,
-        f"mismatches: {mismatches}" if mismatches else "13 faults x 7 scenarios",
+        not mismatches and not server_errors,
+        f"mismatches: {mismatches}, server errors: {server_errors}"
+        if mismatches or server_errors
+        else "13 faults x 7 scenarios",
     )
 
 
@@ -188,7 +195,7 @@ def test_criterion_6_flow_control_byte_accounting():
     before = [o for o in offsets if raise_ms is None or o["timestamp_ms"] < raise_ms]
     first_burst = max((o["offset"] + o["length"]) for o in before) if before else 0
     total = max((o["offset"] + o["length"]) for o in offsets) if offsets else 0
-    ok = trace.error_code == 0 and first_burst == 80 and total <= 160
+    ok = trace.error_code == 0 and first_burst == 80 and total <= 160 and not server.errors
     report(
         6,
         "first burst exactly 80 bytes, total at most 160 after the raise",
@@ -218,7 +225,13 @@ def test_criterion_7_determinism_and_ordering():
     sampler_agrees = all(
         scenario_order(names, seed) == oracle_order(names, seed) for seed in range(1, 101)
     )
-    ok = order_a == order_b and codes_a == codes_b and len(distinct) >= 95 and sampler_agrees
+    ok = (
+        order_a == order_b
+        and codes_a == codes_b
+        and len(distinct) >= 95
+        and sampler_agrees
+        and not server.errors
+    )
     report(
         7,
         "seed 42 reproduces orderings and codes; seeds 1-100 give >=95 distinct orders",

@@ -14,6 +14,7 @@ def server():
     srv = serve(ServerConfig())
     yield srv
     srv.stop()
+    assert srv.errors == []
 
 
 def test_run_then_report(server, tmp_path, capsys):

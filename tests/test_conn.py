@@ -1,3 +1,4 @@
+import dataclasses
 import socket
 
 import pytest
@@ -13,8 +14,9 @@ from quicprobe.conn import (
     StreamRecv,
     build_ack,
     perform_handshake,
-    start_connection,
 )
+from quicprobe.conn import events
+from quicprobe.conn.agents import Agent, build_agents
 from quicprobe.conn.streams import FlowControlAssertion
 from quicprobe.protection import EncryptionLevel, NullHandshakeProvider, derive_initial_keys, protect
 from quicprobe.scenarios.base import default_client_tp
@@ -43,9 +45,7 @@ def make_conn(silent_peer, roster=FULL_ROSTER, **kwargs):
     provider = NullHandshakeProvider(
         seed=1, is_client=True, local_tp=encode_transport_parameters(tp)
     )
-    conn = Connection(
-        silent_peer[0], silent_peer[1], provider, roster=roster, local_tp=tp, **kwargs
-    )
+    conn = Connection(silent_peer[0], silent_peer[1], provider, roster=roster, **kwargs)
     conn.start()
     return conn
 
@@ -93,7 +93,7 @@ class TestStart:
 
     def test_unknown_agent_rejected(self, silent_peer):
         provider = NullHandshakeProvider(seed=1, is_client=True)
-        conn = Connection(silent_peer[0], silent_peer[1], provider, roster={"socket", "nope"})
+        conn = Connection(silent_peer[0], silent_peer[1], provider, roster={"parser", "nope"})
         with pytest.raises(ValueError):
             conn.start()
 
@@ -137,9 +137,12 @@ class TestDispatch:
         conn.stop()
 
     def test_event_without_subscriber_is_no_effect(self, silent_peer):
-        conn = make_conn(silent_peer, roster={"socket", "parser"})
-        effects = conn.dispatch(NewKeysAvailable(level=EncryptionLevel.ONE_RTT))
-        assert effects == []
+        conn = make_conn(silent_peer, roster={"parser"})
+        conn.dispatch(NewKeysAvailable(level=EncryptionLevel.ONE_RTT))
+        assert all(not queue for queue in conn.queues.values())
+        assert conn.timers == {}
+        assert all(not space.sent for space in conn.spaces.values())
+        assert conn.agent_errors == []
         conn.stop()
 
     def test_failing_agent_is_isolated(self, silent_peer):
@@ -162,7 +165,7 @@ class TestDispatch:
         conn.stop()
 
     def test_events_dispatched_fifo(self, silent_peer):
-        conn = make_conn(silent_peer, roster={"socket", "parser", "flow_control"})
+        conn = make_conn(silent_peer, roster={"parser", "flow_control"})
         seen = []
         agent = conn._agents["flow_control"]
         original = agent.handle
@@ -176,7 +179,7 @@ class TestDispatch:
 
 class TestBundler:
     def test_frames_queued_together_share_a_packet(self, silent_peer):
-        conn = make_conn(silent_peer, roster={"socket", "bundler"})
+        conn = make_conn(silent_peer, roster={"bundler"})
         conn.queues[EncryptionLevel.INITIAL].append(AckFrame(largest_acked=0))
         conn.queues[EncryptionLevel.INITIAL].append(CryptoFrame(offset=0, data=b"fin"))
         conn._flush()
@@ -184,10 +187,11 @@ class TestBundler:
         assert len(sent) == 1
         kinds = [type(f).__name__ for f in sent[0].frames]
         assert "AckFrame" in kinds and "CryptoFrame" in kinds
+        assert conn.queues[EncryptionLevel.INITIAL] == []
         conn.stop()
 
     def test_oversized_stream_split_preserves_bytes_and_order(self, silent_peer):
-        conn = make_conn(silent_peer, roster={"socket", "bundler"})
+        conn = make_conn(silent_peer, roster={"bundler"})
         payload = bytes(range(256)) * 8  # 2048 bytes > one datagram
         conn.queues[EncryptionLevel.ONE_RTT].append(
             StreamFrame(stream_id=0, offset=0, data=payload, fin=True)
@@ -217,7 +221,7 @@ class TestBundler:
         conn.stop()
 
     def test_empty_queue_sends_nothing(self, silent_peer):
-        conn = make_conn(silent_peer, roster={"socket", "bundler"})
+        conn = make_conn(silent_peer, roster={"bundler"})
         before = conn.bytes_sent
         conn._flush()
         assert conn.bytes_sent == before
@@ -226,6 +230,38 @@ class TestBundler:
     def test_client_initial_padded_to_1200(self, silent_peer):
         conn = make_conn(silent_peer)  # start() sends the hello
         assert conn.bytes_sent >= 1200
+        conn.stop()
+
+    def test_deferred_without_keys(self, silent_peer):
+        conn = make_conn(silent_peer, roster={"bundler"})
+        conn.queues[EncryptionLevel.ONE_RTT].append(PingFrame())
+        before = conn.bytes_sent
+        conn._flush()
+        assert conn.bytes_sent == before
+        assert not conn.space(EncryptionLevel.ONE_RTT).sent
+        assert conn.queues[EncryptionLevel.ONE_RTT]  # still queued
+        conn.stop()
+
+
+class TestBundleAndSend:
+    """Flushing one level's queue: one packet out, the queue drained."""
+
+    def test_builds_one_packet_from_the_queue(self, silent_peer):
+        conn = make_conn(silent_peer, roster={"bundler"})
+        conn.queues[EncryptionLevel.INITIAL].append(PingFrame())
+        conn._flush()
+        sent = list(conn.space(EncryptionLevel.INITIAL).sent.values())
+        assert len(sent) == 1
+        assert any(isinstance(f, PingFrame) for f in sent[0].frames)
+        assert conn.queues[EncryptionLevel.INITIAL] == []
+        conn.stop()
+
+    def test_empty_queue_returns_none(self, silent_peer):
+        conn = make_conn(silent_peer, roster={"bundler"})
+        before = conn.bytes_sent
+        conn._flush()
+        assert conn.bytes_sent == before
+        assert not conn.space(EncryptionLevel.INITIAL).sent
         conn.stop()
 
 
@@ -248,41 +284,6 @@ class TestFlowLedger:
         with pytest.raises(FlowControlAssertion):
             conn.send_stream(0, b"x" * 6)
         conn.stop()
-
-
-class TestBundleAndSend:
-    def test_builds_one_packet_from_the_queue(self, silent_peer):
-        from quicprobe.conn import bundle_and_send
-
-        conn = make_conn(silent_peer, roster={"socket", "bundler"})
-        conn.queues[EncryptionLevel.INITIAL].append(PingFrame())
-        sent = bundle_and_send(conn, EncryptionLevel.INITIAL)
-        assert sent is not None
-        assert any(isinstance(f, PingFrame) for f in sent.frames)
-        assert conn.queues[EncryptionLevel.INITIAL] == []
-        conn.stop()
-
-    def test_deferred_without_keys(self, silent_peer):
-        from quicprobe.conn import bundle_and_send
-
-        conn = make_conn(silent_peer, roster={"socket", "bundler"})
-        conn.queues[EncryptionLevel.ONE_RTT].append(PingFrame())
-        assert bundle_and_send(conn, EncryptionLevel.ONE_RTT) is None
-        assert conn.queues[EncryptionLevel.ONE_RTT]  # still queued
-        conn.stop()
-
-    def test_empty_queue_returns_none(self, silent_peer):
-        from quicprobe.conn import bundle_and_send
-
-        conn = make_conn(silent_peer, roster={"socket", "bundler"})
-        assert bundle_and_send(conn, EncryptionLevel.INITIAL) is None
-        conn.stop()
-
-
-def test_idle_timeout_observable(silent_peer):
-    conn = make_conn(silent_peer, idle_timeout_ms=80)
-    conn.run_until(lambda: False, 1.0)
-    assert conn.idle_timed_out
 
 
 def test_parser_survives_garbage_datagrams(silent_peer):
@@ -319,11 +320,26 @@ def test_perform_handshake_no_response(silent_peer):
     conn.stop()
 
 
-def test_start_connection_helper(silent_peer):
-    provider = NullHandshakeProvider(seed=1, is_client=True)
-    conn = start_connection(silent_peer[0], silent_peer[1], FULL_ROSTER, provider)
-    assert conn.started
-    conn.stop()
+def test_every_event_type_is_acted_on():
+    """Each event type has a subscriber whose own ``handle`` can act on it,
+    and no agent subscribes to events it would ignore."""
+    event_types = [
+        value
+        for value in vars(events).values()
+        if dataclasses.is_dataclass(value) and value.__module__ == events.__name__
+    ]
+    agents = build_agents(None).values()
+    for agent in agents:
+        if agent.subscriptions:
+            assert type(agent).handle is not Agent.handle, agent.name
+    for event_type in event_types:
+        acting = [
+            agent.name
+            for agent in agents
+            if issubclass(event_type, agent.subscriptions)
+            and type(agent).handle is not Agent.handle
+        ]
+        assert acting, event_type.__name__
 
 
 class TestBuildAck:

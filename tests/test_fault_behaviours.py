@@ -1,11 +1,14 @@
 """Direct checks of each fault's wire-level behaviour, beyond the error
 codes the scenario matrix asserts."""
 
+import contextlib
+
 import pytest
 
 from quicprobe.conn import FULL_ROSTER, Connection, perform_handshake
 from quicprobe.faultsrv import FaultSpec, ServerConfig, serve
 from quicprobe.protection import EncryptionLevel, NullHandshakeProvider
+from quicprobe.scenarios import codes, run_scenario
 from quicprobe.scenarios.base import default_client_tp
 from quicprobe.wire import encode_transport_parameters
 from quicprobe.wire.varint import decode_varint
@@ -16,9 +19,21 @@ def connect(server, client_tp=None):
     provider = NullHandshakeProvider(
         seed=7, is_client=True, local_tp=encode_transport_parameters(tp)
     )
-    conn = Connection("127.0.0.1", server.port, provider, roster=FULL_ROSTER, local_tp=tp)
+    conn = Connection("127.0.0.1", server.port, provider, roster=FULL_ROSTER)
     conn.start()
     return conn
+
+
+@contextlib.contextmanager
+def fault_server(fault: str):
+    """A running fault server; on a clean exit it must have recorded no
+    handler errors."""
+    server = serve(ServerConfig(fault=FaultSpec(name=fault)))
+    try:
+        yield server
+    finally:
+        server.stop()
+    assert server.errors == []
 
 
 def tp_ids(raw: bytes) -> list[int]:
@@ -34,26 +49,26 @@ def tp_ids(raw: bytes) -> list[int]:
 
 
 def test_tp_duplicate_blob_contains_initial_max_data_twice():
-    server = serve(ServerConfig(fault=FaultSpec(name="tp_duplicate")))
-    try:
+    with fault_server("tp_duplicate") as server:
         conn = connect(server)
         assert perform_handshake(conn, 3000).succeeded
         ids = tp_ids(conn.provider.peer_tp_raw)
         assert ids.count(0x04) == 2
         conn.close()
         conn.stop()
-    finally:
-        server.stop()
 
 
 def test_stream_blocked_spam_sends_25_blocked_and_duplicates_second_half():
-    server = serve(ServerConfig(fault=FaultSpec(name="stream_blocked_spam")))
-    try:
+    with fault_server("stream_blocked_spam") as server:
         tp = default_client_tp(**{"0x05": 80, "0x04": 4096})
         conn = connect(server, client_tp=tp)
         assert perform_handshake(conn, 3000).succeeded
         conn.send_stream(0, b"GET /index.html\r\n", fin=True)
-        conn.run_until(lambda: conn.stream(0).recv.highest_offset >= 80, 3.0)
+        conn.run_until(
+            lambda: conn.stream(0).recv.highest_offset >= 80
+            and conn.blocked_frames_received >= 25,
+            3.0,
+        )
         assert conn.blocked_frames_received >= 25
         # raise the limit anyway: the second half must arrive duplicated
         conn.raise_stream_limit(0, 160)
@@ -74,26 +89,20 @@ def test_stream_blocked_spam_sends_25_blocked_and_duplicates_second_half():
         assert at_80 >= 2
         conn.close()
         conn.stop()
-    finally:
-        server.stop()
 
 
 def test_no_amplification_blast_is_padding_at_handshake_level():
-    server = serve(ServerConfig(fault=FaultSpec(name="no_amplification_limit")))
-    try:
+    with fault_server("no_amplification_limit") as server:
         conn = connect(server)
         assert perform_handshake(conn, 3000).succeeded
         conn.run_until(lambda: conn.bytes_received > 20_000, 3.0)
         assert conn.bytes_received > 20_000
         conn.close()
         conn.stop()
-    finally:
-        server.stop()
 
 
 def test_reject_0rtt_drops_early_data_but_completes_handshake():
-    server = serve(ServerConfig(fault=FaultSpec(name="reject_0rtt")))
-    try:
+    with fault_server("reject_0rtt") as server:
         # first connection: harvest the ticket
         conn1 = connect(server)
         assert perform_handshake(conn1, 3000).succeeded
@@ -112,7 +121,6 @@ def test_reject_0rtt_drops_early_data_but_completes_handshake():
             server.port,
             provider,
             roster=FULL_ROSTER,
-            local_tp=tp,
             assumed_peer_tp=default_client_tp(),
         )
         conn2.start()
@@ -121,13 +129,10 @@ def test_reject_0rtt_drops_early_data_but_completes_handshake():
         assert not conn2.provider.early_data_accepted
         conn2.close()
         conn2.stop()
-    finally:
-        server.stop()
 
 
 def test_bad_1rtt_protection_corrupts_only_control_packets():
-    server = serve(ServerConfig(fault=FaultSpec(name="bad_1rtt_protection")))
-    try:
+    with fault_server("bad_1rtt_protection") as server:
         tp = default_client_tp()
         conn = connect(server, client_tp=tp)
         assert perform_handshake(conn, 3000).succeeded
@@ -139,5 +144,14 @@ def test_bad_1rtt_protection_corrupts_only_control_packets():
         assert all(e["level"] == "one_rtt" for e in corrupted)
         conn.close()
         conn.stop()
-    finally:
-        server.stop()
+
+
+def test_handshake_detects_bad_1rtt_protection_every_time():
+    # the probe's ACK is the corrupted packet; a verdict taken before it
+    # arrives would read 0
+    with fault_server("bad_1rtt_protection") as server:
+        target = {"name": "loopback", "host": "127.0.0.1", "port": server.port}
+        verdicts = [
+            run_scenario("handshake", target, timeout_ms=2000).error_code for _ in range(20)
+        ]
+    assert verdicts == [codes.HS_ONE_RTT_KEYS_UNUSABLE] * 20

@@ -6,7 +6,8 @@ import pytest
 
 from quicprobe.dissector import coverage_ok, dissect, quic_v1_description
 from quicprobe.faultsrv import FaultSpec, ServerConfig, default_body, serve
-from quicprobe.scenarios import SuitePlan, run_scenario, run_suite
+from quicprobe.faultsrv import server as server_module
+from quicprobe.scenarios import SuitePlan, codes, run_scenario, run_suite
 from quicprobe.traces import read_corpus, write_trace
 from quicprobe.wire import (
     AckFrame,
@@ -21,6 +22,7 @@ def compliant_server():
     server = serve(ServerConfig())
     yield server
     server.stop()
+    assert server.errors == []
 
 
 def target_of(server):
@@ -108,6 +110,7 @@ def test_single_fault_only_flow_control_fails(compliant_server):
         traces = {t.scenario: t.error_code for t in run_suite(plan)}
     finally:
         server.stop()
+    assert server.errors == []
     assert traces["flow_control"] == 7
     assert all(code == 0 for name, code in traces.items() if name != "flow_control")
 
@@ -125,6 +128,22 @@ def test_stop_interrupts_blocked_read():
     server.stop()
     assert time.monotonic() - t0 < 1.0
     assert server.sock is None
+
+
+def test_handler_error_is_recorded_and_server_keeps_serving(monkeypatch):
+    def broken(self, data, level):
+        raise RuntimeError("handler bug")
+
+    server = serve(ServerConfig())
+    try:
+        monkeypatch.setattr(server_module._ServerConn, "handle_datagram", broken)
+        trace = run_scenario("handshake", target_of(server), timeout_ms=300)
+        assert trace.error_code == codes.PREREQ_NO_RESPONSE
+        assert server.errors and set(server.errors) == {repr(RuntimeError("handler bug"))}
+        monkeypatch.undo()
+        assert run_scenario("handshake", target_of(server)).error_code == 0
+    finally:
+        server.stop()
 
 
 def _ipv6_available() -> bool:
@@ -148,6 +167,7 @@ def test_handshake_over_ipv6():
         )
     finally:
         server.stop()
+    assert server.errors == []
     assert trace.error_code == 0
 
 
@@ -167,6 +187,7 @@ def test_two_parallel_targets():
     finally:
         s1.stop()
         s2.stop()
+    assert s1.errors == [] and s2.errors == []
     assert len(traces) == 4
     assert all(t.error_code == 0 for t in traces)
     names = {(t.target["name"], t.scenario) for t in traces}

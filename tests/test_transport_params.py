@@ -8,13 +8,19 @@ from quicprobe.wire import (
     encode_transport_parameters,
     encode_varint,
 )
+from quicprobe.wire.transport_params import (
+    TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL,
+    TP_INITIAL_MAX_STREAMS_BIDI,
+    TP_MAX_IDLE_TIMEOUT,
+    TP_ORIGINAL_DCID,
+)
 
 
 def test_stream_data_limit_round_trips():
     tp = TransportParameters()
-    tp.initial_max_stream_data_bidi_local = 80
+    tp.set_int(TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL, 80)
     decoded = decode_transport_parameters(encode_transport_parameters(tp))
-    assert decoded.initial_max_stream_data_bidi_local == 80
+    assert decoded.get_int(TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL) == 80
     assert decoded == tp
 
 
@@ -46,15 +52,15 @@ def test_truncated_value():
 def test_named_accessors():
     tp = TransportParameters()
     tp.initial_max_data = 1024
-    tp.initial_max_streams_bidi = 16
-    tp.max_idle_timeout = 30_000
-    tp.original_dcid = b"\x01\x02\x03"
+    tp.set_int(TP_INITIAL_MAX_STREAMS_BIDI, 16)
+    tp.set_int(TP_MAX_IDLE_TIMEOUT, 30_000)
+    tp.entries[TP_ORIGINAL_DCID] = b"\x01\x02\x03"
     decoded = decode_transport_parameters(encode_transport_parameters(tp))
     assert decoded.initial_max_data == 1024
-    assert decoded.initial_max_streams_bidi == 16
-    assert decoded.max_idle_timeout == 30_000
-    assert decoded.original_dcid == b"\x01\x02\x03"
-    assert decoded.initial_max_stream_data_bidi_local is None
+    assert decoded.get_int(TP_INITIAL_MAX_STREAMS_BIDI) == 16
+    assert decoded.get_int(TP_MAX_IDLE_TIMEOUT) == 30_000
+    assert decoded.entries[TP_ORIGINAL_DCID] == b"\x01\x02\x03"
+    assert decoded.get_int(TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL) is None
 
 
 @given(
