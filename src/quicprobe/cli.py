@@ -8,6 +8,7 @@ post-processes a trace corpus into metric CSVs and the results grid.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -85,8 +86,9 @@ def _cmd_report(args) -> int:
     )
     (out / "outcomes.csv").write_text(outcomes_to_csv(metric_outcomes(corpus)))
     dates = [args.date] if args.date else corpus.dates()
+    corpus_link = Path(os.path.relpath(args.corpus, out)).as_posix()
     for date in dates:
-        html_doc, csv_doc = render_grid(corpus, date)
+        html_doc, csv_doc = render_grid(corpus, date, corpus_link)
         (out / f"grid_{date}.html").write_text(html_doc)
         (out / f"grid_{date}.csv").write_text(csv_doc)
     print(f"report written to {out}")

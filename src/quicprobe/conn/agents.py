@@ -108,7 +108,8 @@ class ParserAgent(Agent):
             conn.note_decrypt_failure(level, data)
             return
         except ParseError as exc:
-            conn.frame_parse_errors.append(f"header: {exc}")
+            if conn.trace:
+                conn.trace.note("header_parse_error", {"level": level.label, "error": str(exc)})
             return
 
         if header.is_long and not conn._server_cid_seen:
@@ -119,7 +120,6 @@ class ParserAgent(Agent):
         try:
             frames = parse_frames(plaintext)
         except ParseError as exc:
-            conn.frame_parse_errors.append(str(exc))
             if conn.trace:
                 conn.trace.note("frame_parse_error", {"level": level.label, "error": str(exc)})
             return

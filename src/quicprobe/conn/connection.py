@@ -162,7 +162,6 @@ class Connection:
         self.empty_stream_frames_received = 0
         self.blocked_frames_received = 0
         self.flagged_acks_received = 0
-        self.frame_parse_errors: list[str] = []
         self.agent_errors: list[tuple[str, str]] = []
 
     # -- lifecycle -------------------------------------------------------

@@ -50,6 +50,13 @@ from ..wire import (
     serialize_frames,
     serialize_header,
 )
+from ..wire.transport_params import (
+    TP_INITIAL_MAX_DATA,
+    TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL,
+    TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE,
+    TP_INITIAL_MAX_STREAMS_BIDI,
+    TP_MAX_IDLE_TIMEOUT,
+)
 from ..conn.agents import build_ack
 from ..conn.streams import StreamRecv
 from .faults import FaultSpec
@@ -69,10 +76,10 @@ def default_body(size: int = 160) -> bytes:
 
 def default_transport_parameters() -> TransportParameters:
     tp = TransportParameters()
-    tp.set_int(0x01, 30_000)  # max_idle_timeout
-    tp.set_int(0x04, 65_536)  # initial_max_data
-    tp.set_int(0x06, 65_536)  # initial_max_stream_data_bidi_remote
-    tp.set_int(0x08, 16)  # initial_max_streams_bidi
+    tp.set_int(TP_MAX_IDLE_TIMEOUT, 30_000)
+    tp.set_int(TP_INITIAL_MAX_DATA, 65_536)
+    tp.set_int(TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE, 65_536)
+    tp.set_int(TP_INITIAL_MAX_STREAMS_BIDI, 16)
     tp.entries[0x0BF9] = b"\x2a"  # unknown id, exercises client passthrough
     return tp
 
@@ -121,7 +128,6 @@ class _ServerConn:
         self.config = server.config
         self.fault = server.config.fault
         self.addr = addr
-        self.original_dcid = original_dcid
         self.client_scid = client_scid
         self.scid = hashlib.sha256(b"faultsrv-scid:%d" % self.config.seed).digest()[:8]
 
@@ -258,7 +264,7 @@ class _ServerConn:
         # client's "local bidi" parameter
         if self.peer_tp is None:
             return 0
-        limit = self.peer_tp.get_int(0x05)
+        limit = self.peer_tp.get_int(TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL)
         return (1 << 30) if limit is None else limit
 
     def _stream(self, stream_id: int) -> _ServerStream:

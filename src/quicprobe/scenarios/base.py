@@ -14,18 +14,26 @@ from ..wire import (
     parse_frames,
     parse_header,
 )
+from ..wire.transport_params import (
+    TP_INITIAL_MAX_DATA,
+    TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL,
+    TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE,
+    TP_INITIAL_MAX_STREAMS_BIDI,
+    TP_MAX_IDLE_TIMEOUT,
+)
 from . import codes
 
 
-def default_client_tp(**int_overrides) -> TransportParameters:
+def default_client_tp(overrides: dict[int, int] | None = None) -> TransportParameters:
+    """The client's parameters; ``overrides`` maps parameter ids to integer values."""
     tp = TransportParameters()
-    tp.set_int(0x01, 30_000)  # max_idle_timeout
-    tp.set_int(0x04, 65_536)  # initial_max_data
-    tp.set_int(0x05, 65_536)  # initial_max_stream_data_bidi_local
-    tp.set_int(0x06, 65_536)  # initial_max_stream_data_bidi_remote
-    tp.set_int(0x08, 16)  # initial_max_streams_bidi
-    for param_id, value in int_overrides.items():
-        tp.set_int(int(param_id, 0) if isinstance(param_id, str) else param_id, value)
+    tp.set_int(TP_MAX_IDLE_TIMEOUT, 30_000)
+    tp.set_int(TP_INITIAL_MAX_DATA, 65_536)
+    tp.set_int(TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL, 65_536)
+    tp.set_int(TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE, 65_536)
+    tp.set_int(TP_INITIAL_MAX_STREAMS_BIDI, 16)
+    for param_id, value in (overrides or {}).items():
+        tp.set_int(param_id, value)
     return tp
 
 

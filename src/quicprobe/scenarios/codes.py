@@ -3,7 +3,8 @@
 0 is full success. 1-199 are scenario-specific failures (the tested
 mechanism misbehaved). 200-255 are prerequisite errors: the scenario
 could not exercise its mechanism at all, e.g. the endpoint was silent or
-an earlier stage never completed.
+an earlier stage never completed. ``quicprobe.traces.outcome`` sorts a
+code into its band.
 """
 
 from __future__ import annotations
@@ -61,14 +62,6 @@ REGISTRY: dict[int, str] = {
     PREREQ_HANDSHAKE_KEYS: "prerequisite handshake completed without usable keys",
     PREREQ_VERSION_MISMATCH: "prerequisite handshake hit version negotiation",
 }
-
-
-def is_failure(code: int) -> bool:
-    return 1 <= code <= 199
-
-
-def is_prerequisite_error(code: int) -> bool:
-    return 200 <= code <= 255
 
 
 def describe(code: int) -> str:

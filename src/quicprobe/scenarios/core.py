@@ -12,6 +12,7 @@ import time
 from ..conn import FULL_ROSTER, perform_handshake, unfinished_stage
 from ..protection import EncryptionLevel
 from ..wire import PingFrame, StreamFrame, lenient_decode_tp
+from ..wire.transport_params import TP_INITIAL_MAX_DATA, TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL
 from . import codes
 from .base import (
     HANDSHAKE_FAILURE_CODES,
@@ -152,7 +153,9 @@ class FlowControlScenario(Scenario):
     def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
         conn = ctx.connect(
             roster=FULL_ROSTER,
-            client_tp=default_client_tp(**{"0x05": 80, "0x04": 1024}),
+            client_tp=default_client_tp(
+                {TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL: 80, TP_INITIAL_MAX_DATA: 1024}
+            ),
         )
         outcome = perform_handshake(conn, timeout_ms=int(ctx.timeout_s * 1000))
         if not outcome.succeeded:

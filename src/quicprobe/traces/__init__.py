@@ -10,7 +10,7 @@ from .metrics import (
     metric_versions_over_time,
     outcomes_to_csv,
 )
-from .model import RunCorpus, Trace, TraceBuilder, read_corpus, trace_filename, write_trace
+from .model import RunCorpus, Trace, TraceBuilder, outcome, read_corpus, trace_filename, write_trace
 
 __all__ = [
     "OutcomeRow",
@@ -22,6 +22,7 @@ __all__ = [
     "metric_handshake_success",
     "metric_outcomes",
     "metric_versions_over_time",
+    "outcome",
     "outcomes_to_csv",
     "read_corpus",
     "render_grid",

@@ -6,11 +6,11 @@ file behind them; a missing (endpoint, scenario) pair is a blank cell.
 
 from __future__ import annotations
 
-import csv
 import html
-import io
+import posixpath
 
-from .model import RunCorpus, Trace, trace_filename
+from .metrics import csv_text
+from .model import RunCorpus, outcome, trace_filename
 
 _CELL_STYLES = {
     "success": "background:#c8e6c9;color:#1b5e20",
@@ -20,33 +20,22 @@ _CELL_STYLES = {
 }
 
 
-def _outcome(code: int) -> str:
-    if code == 0:
-        return "success"
-    if code <= 199:
-        return "failure"
-    return "error"
+def render_grid(corpus: RunCorpus, date: str, corpus_link: str = "") -> tuple[str, str]:
+    """(html, csv) for one run date. A cell links to its trace where
+    ``write_trace`` puts it, ``<date>/<target>_<scenario>.json``, below
+    ``corpus_link``: the corpus root as seen from the HTML file."""
+    by_target = corpus.by_target(date)
+    targets = list(by_target)
+    scenarios = sorted({name for by_scenario in by_target.values() for name in by_scenario})
+    rows = [(name, [by_target[t].get(name) for t in targets]) for name in scenarios]
 
-
-def render_grid(corpus: RunCorpus, date: str) -> tuple[str, str]:
-    """(html, csv) for one run date."""
-    targets = corpus.targets(date)
-    scenarios = sorted({t.scenario for t in corpus.on_date(date)})
-
-    csv_out = io.StringIO()
-    writer = csv.writer(csv_out)
-    writer.writerow(["scenario"] + targets)
-    grid: dict[tuple[str, str], Trace] = {}
-    for scenario in scenarios:
-        row = [scenario]
-        for target in targets:
-            trace = corpus.get(date, target, scenario)
-            if trace is None:
-                row.append("")
-            else:
-                grid[(scenario, target)] = trace
-                row.append(str(trace.error_code))
-        writer.writerow(row)
+    csv_doc = csv_text(
+        ["scenario"] + targets,
+        [
+            [name] + ["" if trace is None else str(trace.error_code) for trace in cells]
+            for name, cells in rows
+        ],
+    )
 
     parts = [
         "<!DOCTYPE html><html><head><meta charset='utf-8'>",
@@ -61,22 +50,21 @@ def render_grid(corpus: RunCorpus, date: str) -> tuple[str, str]:
     for target in targets:
         parts.append(f"<th style='border:1px solid #ccc;padding:4px 8px'>{html.escape(target)}</th>")
     parts.append("</tr>")
-    for scenario in scenarios:
-        parts.append(f"<tr><td style='border:1px solid #ccc;padding:4px 8px'>{html.escape(scenario)}</td>")
-        for target in targets:
-            trace = grid.get((scenario, target))
+    for name, cells in rows:
+        parts.append(f"<tr><td style='border:1px solid #ccc;padding:4px 8px'>{html.escape(name)}</td>")
+        for trace in cells:
             if trace is None:
                 parts.append(
                     f"<td style='border:1px solid #ccc;padding:4px 8px;text-align:center;"
                     f"{_CELL_STYLES['blank']}'></td>"
                 )
                 continue
-            style = _CELL_STYLES[_outcome(trace.error_code)]
-            href = html.escape(f"{date}/{trace_filename(trace)}")
+            style = _CELL_STYLES[outcome(trace.error_code)]
+            href = html.escape(posixpath.join(corpus_link, date, trace_filename(trace)))
             parts.append(
                 f"<td style='border:1px solid #ccc;padding:4px 8px;text-align:center;{style}'>"
                 f"<a style='color:inherit' href='{href}'>{trace.error_code}</a></td>"
             )
         parts.append("</tr>")
     parts.append("</table></body></html>")
-    return "".join(parts), csv_out.getvalue()
+    return "".join(parts), csv_doc

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 
-from .model import RunCorpus
+from .model import RunCorpus, Trace, outcome
 
 
 def _requires_handshake_scenarios() -> set[str]:
@@ -21,26 +22,33 @@ def _requires_handshake_scenarios() -> set[str]:
     return {name for name, cls in ALL_SCENARIOS.items() if cls.requires_handshake}
 
 
+def csv_text(header: list[str], rows) -> str:
+    """One CSV document: the header row, then ``rows``."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _handshake_ok(by_scenario: dict[str, Trace]) -> bool:
+    trace = by_scenario.get("handshake")
+    return trace is not None and trace.error_code == 0
+
+
 @dataclass
 class VersionsTable:
     rows: list[tuple[str, int, int]]  # (date, version, endpoints announcing it)
     tested: list[tuple[str, int]]  # (date, endpoints tested)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["date", "version", "endpoints"])
-        for date, version, count in self.rows:
-            writer.writerow([date, f"0x{version:08x}", count])
-        return out.getvalue()
+        return csv_text(
+            ["date", "version", "endpoints"],
+            [(date, f"0x{version:08x}", count) for date, version, count in self.rows],
+        )
 
     def tested_to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["date", "endpoints_tested"])
-        for date, count in self.tested:
-            writer.writerow([date, count])
-        return out.getvalue()
+        return csv_text(["date", "endpoints_tested"], self.tested)
 
 
 def metric_versions_over_time(corpus: RunCorpus) -> VersionsTable:
@@ -49,41 +57,27 @@ def metric_versions_over_time(corpus: RunCorpus) -> VersionsTable:
     rows: list[tuple[str, int, int]] = []
     tested: list[tuple[str, int]] = []
     for date in corpus.dates():
-        targets = corpus.targets(date)
-        tested.append((date, len(targets)))
-        counts: dict[int, int] = {}
-        for target in targets:
-            trace = corpus.get(date, target, "version_negotiation")
-            if trace is None:
-                continue
-            versions = trace.results.get("versions") or []
-            for version in set(versions):
-                counts[version] = counts.get(version, 0) + 1
-        for version in sorted(counts):
-            rows.append((date, version, counts[version]))
+        by_target = corpus.by_target(date)
+        tested.append((date, len(by_target)))
+        counts: Counter[int] = Counter()
+        for by_scenario in by_target.values():
+            trace = by_scenario.get("version_negotiation")
+            if trace is not None:
+                counts.update(set(trace.results.get("versions") or []))
+        rows += [(date, version, counts[version]) for version in sorted(counts)]
     return VersionsTable(rows=rows, tested=tested)
 
 
 def metric_handshake_success(corpus: RunCorpus) -> list[tuple[str, int]]:
     """Per date, how many endpoints completed the handshake test."""
-    out = []
-    for date in corpus.dates():
-        count = sum(
-            1
-            for target in corpus.targets(date)
-            if (trace := corpus.get(date, target, "handshake")) is not None
-            and trace.error_code == 0
-        )
-        out.append((date, count))
-    return out
+    return [
+        (date, sum(map(_handshake_ok, corpus.by_target(date).values())))
+        for date in corpus.dates()
+    ]
 
 
 def handshake_success_to_csv(rows: list[tuple[str, int]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["date", "handshake_success"])
-    writer.writerows(rows)
-    return out.getvalue()
+    return csv_text(["date", "handshake_success"], rows)
 
 
 @dataclass
@@ -106,34 +100,22 @@ def metric_outcomes(
         scenario_names = _requires_handshake_scenarios()
     out = []
     for date in corpus.dates():
-        qualifying = [
-            target
-            for target in corpus.targets(date)
-            if (hs := corpus.get(date, target, "handshake")) is not None and hs.error_code == 0
-        ]
-        if not qualifying:
-            continue
-        success = failure = error = 0
-        for trace in corpus.on_date(date):
-            if trace.target.get("name") not in qualifying:
-                continue
-            if trace.scenario not in scenario_names:
-                continue
-            if trace.error_code == 0:
-                success += 1
-            elif 1 <= trace.error_code <= 199:
-                failure += 1
-            else:
-                error += 1
-        total = success + failure + error
+        qualifying = [s for s in corpus.by_target(date).values() if _handshake_ok(s)]
+        counts = Counter(
+            outcome(trace.error_code)
+            for by_scenario in qualifying
+            for name, trace in by_scenario.items()
+            if name in scenario_names
+        )
+        total = sum(counts.values())
         if total == 0:
             continue
         out.append(
             OutcomeRow(
                 date=date,
-                success_pct=100.0 * success / total,
-                failure_pct=100.0 * failure / total,
-                error_pct=100.0 * error / total,
+                success_pct=100.0 * counts["success"] / total,
+                failure_pct=100.0 * counts["failure"] / total,
+                error_pct=100.0 * counts["error"] / total,
                 endpoints=len(qualifying),
                 tests=total,
             )
@@ -142,18 +124,17 @@ def metric_outcomes(
 
 
 def outcomes_to_csv(rows: list[OutcomeRow]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["date", "success_pct", "failure_pct", "error_pct", "endpoints", "tests"])
-    for row in rows:
-        writer.writerow(
-            [
+    return csv_text(
+        ["date", "success_pct", "failure_pct", "error_pct", "endpoints", "tests"],
+        [
+            (
                 row.date,
                 f"{row.success_pct:.1f}",
                 f"{row.failure_pct:.1f}",
                 f"{row.error_pct:.1f}",
                 row.endpoints,
                 row.tests,
-            ]
-        )
-    return out.getvalue()
+            )
+            for row in rows
+        ],
+    )

@@ -29,6 +29,15 @@ _KNOWN_FIELDS = {
 }
 
 
+def outcome(code: int) -> str:
+    """The band of an error code: "success" (0), "failure" (1-199: the
+    tested mechanism misbehaved) or "error" (any other code: the
+    prerequisite errors 200-255 and codes outside every band)."""
+    if code == 0:
+        return "success"
+    return "failure" if 1 <= code <= 199 else "error"
+
+
 @dataclass
 class Trace:
     scenario: str
@@ -47,6 +56,15 @@ class Trace:
         return (
             datetime.fromtimestamp(self.started_at / 1000, tz=timezone.utc).date().isoformat()
         )
+
+    @property
+    def target_name(self) -> str:
+        return self.target.get("name", "unknown")
+
+    @property
+    def key(self) -> tuple[str, str, str]:
+        """(date, target name, scenario): what a corpus holds one trace of."""
+        return (self.date, self.target_name, self.scenario)
 
     def to_json(self) -> dict:
         doc = {
@@ -135,8 +153,7 @@ class TraceBuilder:
 
 
 def trace_filename(trace: Trace) -> str:
-    target = trace.target.get("name", "unknown")
-    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in target)
+    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in trace.target_name)
     return f"{safe}_{trace.scenario}.json"
 
 
@@ -152,38 +169,48 @@ def write_trace(trace: Trace, out_dir: str | Path) -> Path:
 
 @dataclass
 class RunCorpus:
-    """Traces grouped by run date and target; (date, target, scenario) unique."""
+    """Traces indexed by (date, target name, scenario). A key holds one
+    trace: of several with the same key the first is kept."""
 
     traces: list[Trace] = field(default_factory=list)
 
-    def dates(self) -> list[str]:
-        return sorted({t.date for t in self.traces})
+    def __post_init__(self):
+        given, self.traces = self.traces, []
+        self._index: dict[str, dict[str, dict[str, Trace]]] = {}
+        for trace in given:
+            self.add(trace)
 
-    def targets(self, date: str | None = None) -> list[str]:
-        return sorted(
-            {
-                t.target.get("name", "unknown")
-                for t in self.traces
-                if date is None or t.date == date
-            }
-        )
+    def add(self, trace: Trace) -> bool:
+        """Index and keep ``trace``; False, keeping nothing, if its key is taken."""
+        date, target, scenario = trace.key
+        by_scenario = self._index.setdefault(date, {}).setdefault(target, {})
+        if scenario in by_scenario:
+            return False
+        by_scenario[scenario] = trace
+        self.traces.append(trace)
+        return True
+
+    def dates(self) -> list[str]:
+        return sorted(self._index)
+
+    def targets(self, date: str) -> list[str]:
+        return sorted(self._index.get(date, ()))
+
+    def by_target(self, date: str) -> dict[str, dict[str, Trace]]:
+        """target -> scenario -> trace for one date, in target order."""
+        by_target = self._index.get(date, {})
+        return {target: by_target[target] for target in sorted(by_target)}
 
     def get(self, date: str, target: str, scenario: str) -> Trace | None:
-        for t in self.traces:
-            if t.date == date and t.target.get("name") == target and t.scenario == scenario:
-                return t
-        return None
-
-    def on_date(self, date: str) -> list[Trace]:
-        return [t for t in self.traces if t.date == date]
+        return self._index.get(date, {}).get(target, {}).get(scenario)
 
 
 def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
     """Read every trace below ``root``. Malformed files are skipped and
-    reported in the returned warning list."""
+    reported in the returned warning list, and so are duplicates of a key
+    already read, in path order."""
     corpus = RunCorpus()
     warnings: list[str] = []
-    seen: set[tuple[str, str, str]] = set()
     for path in sorted(Path(root).glob("**/*.json")):
         try:
             with open(path) as fh:
@@ -192,10 +219,6 @@ def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             warnings.append(f"{path}: {exc!r}")
             continue
-        key = (trace.date, trace.target.get("name", "unknown"), trace.scenario)
-        if key in seen:
-            warnings.append(f"{path}: duplicate trace for {key}, keeping the first")
-            continue
-        seen.add(key)
-        corpus.traces.append(trace)
+        if not corpus.add(trace):
+            warnings.append(f"{path}: duplicate trace for {trace.key}, keeping the first")
     return corpus, warnings

@@ -1,12 +1,16 @@
 """The console entry points, driven in-process."""
 
 import json
+import re
 
 import pytest
 
 from quicprobe.cli import main as quicprobe_main
 from quicprobe.faultsrv import ServerConfig, serve
 from quicprobe.faultsrv.cli import main as faultsrv_main
+from quicprobe.traces import write_trace
+
+from .corpus_fixtures import build_synthetic_corpus
 
 
 @pytest.fixture
@@ -54,6 +58,22 @@ def test_run_then_report(server, tmp_path, capsys):
     assert (report / "outcomes.csv").exists()
     grids = list(report.glob("grid_*.html"))
     assert grids and "version_negotiation" in grids[0].read_text()
+
+
+def test_grid_links_resolve_from_a_separate_report_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    traces = build_synthetic_corpus()
+    for trace in traces:
+        write_trace(trace, "runs/traces")
+    assert quicprobe_main(["report", "--corpus", "runs/traces", "--out", "out/report"]) == 0
+    grids = sorted((tmp_path / "out" / "report").glob("grid_*.html"))
+    assert len(grids) == 3
+    hrefs = 0
+    for grid in grids:
+        for href in re.findall(r"href='([^']*)'", grid.read_text()):
+            assert (grid.parent / href).is_file(), (grid.name, href)
+            hrefs += 1
+    assert hrefs == len(traces)
 
 
 def test_run_rejects_unknown_scenario(server, tmp_path):

@@ -20,11 +20,13 @@ from quicprobe.conn.agents import Agent, build_agents
 from quicprobe.conn.streams import FlowControlAssertion
 from quicprobe.protection import EncryptionLevel, NullHandshakeProvider, derive_initial_keys, protect
 from quicprobe.scenarios.base import default_client_tp
+from quicprobe.traces import TraceBuilder
 from quicprobe.wire import (
     AckFrame,
     CryptoFrame,
     PacketHeader,
     PacketType,
+    PaddingFrame,
     PingFrame,
     StreamFrame,
     encode_transport_parameters,
@@ -309,6 +311,20 @@ def test_parser_flags_malformed_version_negotiation(silent_peer):
     feed(conn, reply)
     assert conn.version_negotiation is None
     assert "multiple of 4" in conn.malformed_version_negotiation
+    conn.stop()
+
+
+def test_parser_notes_header_parse_error_in_trace(silent_peer):
+    trace = TraceBuilder("handshake", 1, {"name": "t", "host": "127.0.0.1", "port": 1})
+    conn = make_conn(silent_peer, trace=trace)
+    packet = server_packet(conn, [PingFrame(), PaddingFrame(40)])
+    # the Length field still counts the 10 bytes cut off the datagram
+    feed(conn, packet[:-10])
+    notes = [note for note in trace.notes if note["kind"] == "header_parse_error"]
+    assert len(notes) == 1
+    assert notes[0]["detail"]["level"] == EncryptionLevel.INITIAL.label
+    assert "declared length exceeds datagram" in notes[0]["detail"]["error"]
+    assert conn.space(EncryptionLevel.INITIAL).largest_received == -1
     conn.stop()
 
 

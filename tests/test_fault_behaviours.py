@@ -11,6 +11,7 @@ from quicprobe.protection import EncryptionLevel, NullHandshakeProvider
 from quicprobe.scenarios import codes, run_scenario
 from quicprobe.scenarios.base import default_client_tp
 from quicprobe.wire import encode_transport_parameters
+from quicprobe.wire.transport_params import TP_INITIAL_MAX_DATA, TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL
 from quicprobe.wire.varint import decode_varint
 
 
@@ -60,7 +61,7 @@ def test_tp_duplicate_blob_contains_initial_max_data_twice():
 
 def test_stream_blocked_spam_sends_25_blocked_and_duplicates_second_half():
     with fault_server("stream_blocked_spam") as server:
-        tp = default_client_tp(**{"0x05": 80, "0x04": 4096})
+        tp = default_client_tp({TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL: 80, TP_INITIAL_MAX_DATA: 4096})
         conn = connect(server, client_tp=tp)
         assert perform_handshake(conn, 3000).succeeded
         conn.send_stream(0, b"GET /index.html\r\n", fin=True)

@@ -5,6 +5,7 @@ import pytest
 from quicprobe.cli import parse_targets_file
 from quicprobe.faultsrv import FAULT_EXPECTATIONS
 from quicprobe.scenarios import ALL_SCENARIOS, SuitePlan, codes, run_suite, scenario_order
+from quicprobe.traces import outcome
 
 
 # Independent re-implementation of the documented order sampler
@@ -60,9 +61,11 @@ class TestCodesRegistry:
             assert code in codes.REGISTRY, f"code {code} not registered"
 
     def test_bands(self):
-        assert not codes.is_failure(0) and not codes.is_prerequisite_error(0)
-        assert codes.is_failure(1) and codes.is_failure(199)
-        assert codes.is_prerequisite_error(200) and codes.is_prerequisite_error(255)
+        assert outcome(0) == "success"
+        assert outcome(1) == outcome(199) == "failure"
+        assert outcome(200) == outcome(255) == "error"
+        # codes outside every band count as errors
+        assert outcome(-1) == outcome(256) == "error"
 
     def test_descriptions_exist_for_all_registered(self):
         for code, text in codes.REGISTRY.items():
@@ -147,11 +150,8 @@ class TestUnreachableTarget:
         for trace in traces:
             scenario = ALL_SCENARIOS[trace.scenario]
             if scenario.requires_handshake:
-                assert codes.is_prerequisite_error(trace.error_code), (
-                    trace.scenario,
-                    trace.error_code,
-                )
-                assert not codes.is_failure(trace.error_code)
+                assert 200 <= trace.error_code <= 255, (trace.scenario, trace.error_code)
+                assert outcome(trace.error_code) == "error"
 
     def test_suite_completes_even_when_everything_errors(self):
         plan = SuitePlan(

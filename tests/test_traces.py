@@ -15,6 +15,7 @@ from quicprobe.traces import (
 
 from .corpus_fixtures import (
     D1,
+    D2,
     D3,
     EXPECTED_HANDSHAKE_SUCCESS,
     EXPECTED_OUTCOMES,
@@ -156,3 +157,58 @@ class TestGrid:
         assert "background:#c8e6c9" in html_doc  # success
         assert "background:#ffcdd2" in html_doc  # failure
         assert "background:#ffe0b2" in html_doc  # error
+
+
+class TestIndex:
+    def test_nameless_target_counts_everywhere_it_is_tested(self):
+        traces = [
+            make_trace(D1, "alpha", "handshake", 0),
+            make_trace(D1, "alpha", "flow_control", 0),
+            make_trace(D1, "x", "version_negotiation", 0, {"versions": [1]}),
+            make_trace(D1, "x", "handshake", 0),
+            make_trace(D1, "x", "flow_control", 7),
+        ]
+        for trace in traces[2:]:
+            del trace.target["name"]
+        c = RunCorpus(traces=traces)
+        assert c.targets(D1) == ["alpha", "unknown"]
+        assert metric_versions_over_time(c).rows == [(D1, 1, 1)]
+        assert metric_handshake_success(c) == [(D1, 2)]
+        [row] = metric_outcomes(c)
+        assert (row.endpoints, row.tests, row.failure_pct) == (2, 2, 50.0)
+        _, csv_doc = render_grid(c, D1)
+        assert csv_doc.splitlines()[1:] == [
+            "flow_control,0,7",
+            "handshake,0,0",
+            "version_negotiation,,0",
+        ]
+
+    def test_first_trace_of_a_key_wins(self):
+        first = make_trace(D1, "alpha", "handshake", 0)
+        c = RunCorpus(traces=[first, make_trace(D1, "alpha", "handshake", 3)])
+        assert c.traces == [first]
+        assert c.get(D1, "alpha", "handshake") is first
+
+    def test_report_reads_each_trace_date_a_constant_number_of_times(self, monkeypatch):
+        traces = [
+            make_trace(date, f"ep{n:03d}", scenario, (n + len(scenario)) % 3 * 100, {"versions": [1]})
+            for date in (D1, D2, D3)
+            for n in range(60)
+            for scenario in ("version_negotiation", "handshake", "flow_control", "zero_rtt")
+        ]
+        evals = 0
+        date = Trace.date.fget
+
+        def counted(trace):
+            nonlocal evals
+            evals += 1
+            return date(trace)
+
+        monkeypatch.setattr(Trace, "date", property(counted))
+        c = RunCorpus(traces=traces)
+        metric_versions_over_time(c)
+        metric_handshake_success(c)
+        metric_outcomes(c)
+        for day in c.dates():
+            render_grid(c, day)
+        assert evals <= 2 * len(traces)
