@@ -17,6 +17,7 @@ from ..protection import (
     EncryptionLevel,
     cleartext_packet_bytes,
     packet_number_length,
+    retry_integrity_tag,
     unprotect,
 )
 from ..wire import (
@@ -83,13 +84,8 @@ class ParserAgent(Agent):
                     conn.trace.log_packet("rx", "none", data, len(conn.scid))
                 return
             packet_type = (first & 0x30) >> 4
-            if packet_type == 3:  # retry: header only, out of scenario scope
-                try:
-                    parse_header(data)
-                except ParseError:
-                    return
-                if conn.trace:
-                    conn.trace.log_packet("rx", "none", data, len(conn.scid))
+            if packet_type == 3:
+                self._retry(conn, data)
                 return
             level = _LONG_TYPE_LEVELS[packet_type]
         else:
@@ -137,6 +133,29 @@ class ParserAgent(Agent):
                 "rx", level.label, cleartext_packet_bytes(header, plaintext), len(conn.scid)
             )
         conn.emit(PacketReceived(header=header, frames=frames, level=level))
+
+    @staticmethod
+    def _retry(conn, data: bytes) -> None:
+        try:
+            header, _ = parse_header(data)
+        except ParseError:
+            return
+        if conn.trace:
+            conn.trace.log_packet("rx", "none", data, len(conn.scid))
+        token, tag = header.token[:-AEAD_TAG_LEN], header.token[-AEAD_TAG_LEN:]
+        # one Retry at most, none once the server has answered otherwise,
+        # and only one whose tag proves it answers our first Initial
+        if conn._server_cid_seen or conn.retry_token:
+            reason = "not the server's first answer"
+        elif not token:
+            reason = "empty token"
+        elif tag != retry_integrity_tag(data[:-AEAD_TAG_LEN], conn.original_dcid):
+            reason = "integrity tag mismatch"
+        else:
+            conn.follow_retry(header.scid, token)
+            return
+        if conn.trace:
+            conn.trace.note("retry_discarded", reason)
 
 
 class TlsAgent(Agent):

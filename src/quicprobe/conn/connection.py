@@ -25,6 +25,7 @@ from ..protection import (
 )
 from ..wire import (
     QUIC_V1,
+    AckFrame,
     ConnectionCloseFrame,
     CryptoFrame,
     Frame,
@@ -33,6 +34,7 @@ from ..wire import (
     PaddingFrame,
     StreamFrame,
     TransportParameters,
+    encode_varint,
     is_ack_eliciting,
     serialize_frames,
 )
@@ -118,6 +120,7 @@ class Connection:
         self.dcid = self.original_dcid
         self.scid = os.urandom(8)
         self._server_cid_seen = False
+        self.retry_token = b""  # from the server's Retry, sent in every later Initial
 
         self.spaces = {
             "initial": PacketSpace(),
@@ -270,14 +273,22 @@ class Connection:
         self._drain_bus()
 
     def run_until(self, predicate, timeout: float) -> bool:
+        """Pump until ``predicate()`` holds or ``timeout`` seconds pass.
+        Connection state changes only when a datagram arrives or a timer
+        fires, so each wait lasts until one of those or the deadline."""
         deadline = time.monotonic() + timeout
         while True:
             if predicate():
                 return True
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            now = time.monotonic()
+            if now >= deadline:
                 return bool(predicate())
-            self.pump(min(0.02, remaining))
+            self.pump(min([deadline, *self.timers.values()]) - now)
+
+    def settle(self, seconds: float) -> None:
+        """Pump for the whole window, however many datagrams arrive and
+        whenever: a window in which a violating peer would keep sending."""
+        self.run_until(lambda: False, seconds)
 
     def _check_timers(self) -> None:
         now = time.monotonic()
@@ -305,6 +316,25 @@ class Connection:
         if level is EncryptionLevel.ZERO_RTT:
             return None  # servers never send 0-RTT
         return self.keys.get((level, "server"))
+
+    def follow_retry(self, scid: bytes, token: bytes) -> None:
+        """Start over as the server's Retry asks (RFC 9000 section
+        17.2.5.2): its connection id as destination, Initial keys derived
+        from that id, its token in every later Initial, and the frames of
+        every Initial and 0-RTT packet sent so far queued again, because
+        the server kept none of them. Packet numbers go on."""
+        self.dcid = scid
+        self.retry_token = token
+        client_keys, server_keys = derive_initial_keys(scid)
+        self.keys[(EncryptionLevel.INITIAL, "client")] = client_keys
+        self.keys[(EncryptionLevel.INITIAL, "server")] = server_keys
+        for name in ("initial", "application"):
+            sent = self.spaces[name].sent
+            for pn in sorted(sent):
+                packet = sent.pop(pn)
+                self.queues[packet.level].extend(
+                    f for f in packet.frames if not isinstance(f, (AckFrame, PaddingFrame))
+                )
 
     # -- send path ----------------------------------------------------------
 
@@ -407,7 +437,7 @@ class Connection:
             return 1 + len(self.dcid) + pn_length
         base = 1 + 4 + 1 + len(self.dcid) + 1 + len(self.scid) + 2 + pn_length
         if level is EncryptionLevel.INITIAL:
-            base += 1  # empty token length
+            base += len(encode_varint(len(self.retry_token))) + len(self.retry_token)
         return base
 
     def send_packet(
@@ -438,6 +468,7 @@ class Connection:
             version=self.version,
             dcid=self.dcid,
             scid=self.scid if level is not EncryptionLevel.ONE_RTT else b"",
+            token=self.retry_token,  # written in Initial headers only
             packet_number=pn,
             pn_length=pn_length,
         )

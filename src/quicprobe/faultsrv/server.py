@@ -5,8 +5,10 @@ for unknown versions, the scripted 1-RTT exchange, flow-control-bounded
 responses to plain GET requests, reordered stream openings and 0-RTT.
 It deliberately runs its own small state machine rather than the client
 agent framework, so the two sides cannot mask each other's bugs; the
-dissector cross-checks bytes independently. One connection at a time: a
-fresh client hello replaces the previous connection.
+dissector cross-checks bytes independently. Many connections at once,
+one per client address: a fresh client hello replaces only the
+connection of its own address. Optionally it answers client hellos with
+Retry while it is busy, as servers under load do.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import select
 import socket
 import threading
+import time
 from dataclasses import dataclass, field
 
 from ..protection import (
@@ -24,6 +27,7 @@ from ..protection import (
     cleartext_packet_bytes,
     derive_initial_keys,
     protect,
+    retry_integrity_tag,
     unprotect,
 )
 from ..protection.provider import NullHandshakeProvider
@@ -42,6 +46,7 @@ from ..wire import (
     StreamDataBlockedFrame,
     StreamFrame,
     TransportParameters,
+    decode_varint,
     encode_transport_parameters,
     encode_varint,
     is_ack_eliciting,
@@ -63,6 +68,12 @@ from .faults import FaultSpec
 
 SERVER_PN_LENGTH = 2
 RESPONSE_CHUNK = 900
+RETRY_TOKEN_PREFIX = b"faultsrv-retry:"  # followed by the client's first dcid
+
+
+def server_scid(seed: int) -> bytes:
+    """The connection id every connection of a server with ``seed`` uses."""
+    return hashlib.sha256(b"faultsrv-scid:%d" % seed).digest()[:8]
 
 
 def default_body(size: int = 160) -> bytes:
@@ -92,6 +103,9 @@ class ServerConfig:
     resources: dict[str, bytes] = field(default_factory=lambda: {"/index.html": default_body()})
     transport_parameters: TransportParameters | None = None
     fault: FaultSpec = field(default_factory=FaultSpec)
+    # answer a client hello that carries no token of ours with Retry while
+    # this many handshakes are in progress; None never sends Retry
+    retry_above: int | None = None
 
     def __post_init__(self):
         index = self.resources.get("/index.html")
@@ -129,7 +143,8 @@ class _ServerConn:
         self.fault = server.config.fault
         self.addr = addr
         self.client_scid = client_scid
-        self.scid = hashlib.sha256(b"faultsrv-scid:%d" % self.config.seed).digest()[:8]
+        self.scid = server_scid(self.config.seed)
+        self.last_seen = time.monotonic()
 
         client_km, server_km = derive_initial_keys(original_dcid)
         self.keys = {
@@ -165,6 +180,7 @@ class _ServerConn:
 
     def handle_datagram(self, data: bytes, level: EncryptionLevel) -> None:
         self.bytes_received += len(data)
+        self.last_seen = time.monotonic()
         if self.livelocked:
             return
         keys = self.keys.get((level, "client"))
@@ -228,7 +244,6 @@ class _ServerConn:
                 self._pump_stream(stream)
         elif isinstance(frame, ConnectionCloseFrame):
             self.closed = True
-            self.server.conn = None
 
     def _handle_crypto(self, level: EncryptionLevel, frame: CryptoFrame) -> None:
         recv = self.crypto.setdefault(level, StreamRecv())
@@ -427,6 +442,16 @@ def _peek_long_header(data: bytes) -> tuple[int, bytes, bytes] | None:
     return version, dcid, scid
 
 
+def _initial_token(data: bytes, dcid: bytes, scid: bytes) -> bytes:
+    """The token of a long-header Initial whose cids were peeked."""
+    pos = 7 + len(dcid) + len(scid)
+    try:
+        length, used, _ = decode_varint(data, pos)
+    except ParseError:
+        return b""
+    return data[pos + used : pos + used + length]
+
+
 class FaultServer:
     """Runs the responder in a background thread; stop() interrupts it."""
 
@@ -436,12 +461,16 @@ class FaultServer:
         if tp is None:
             tp = default_transport_parameters()
         self.tp_blob = encode_transport_parameters(tp)
+        idle_ms = tp.get_int(TP_MAX_IDLE_TIMEOUT)
+        self.idle_timeout_s = idle_ms / 1000 if idle_ms else None
         if config.fault.active("tp_duplicate"):
             self.tp_blob += (
                 encode_varint(0x04) + encode_varint(len(encode_varint(65_536))) + encode_varint(65_536)
             )
         self.sock: socket.socket | None = None
-        self.conn: _ServerConn | None = None
+        # keyed by client address, not by connection ID: every _ServerConn
+        # takes the same SCID from the seed (RFC 9000 section 5.2 matching)
+        self.conns: dict[tuple, _ServerConn] = {}
         self.sent_log: list[dict] = []
         self.errors: list[str] = []  # handler exceptions, one repr each
         self._thread: threading.Thread | None = None
@@ -534,15 +563,53 @@ class FaultServer:
                 return
             packet_type = (first & 0x30) >> 4
             if packet_type == 0:  # initial
-                if self.conn is None or self.conn.client_scid != scid:
-                    self.conn = _ServerConn(self, addr, original_dcid=dcid, client_scid=scid)
-                self.conn.handle_datagram(data, EncryptionLevel.INITIAL)
-                return
-            level = EncryptionLevel.ZERO_RTT if packet_type == 1 else EncryptionLevel.HANDSHAKE
+                conn = self.conns.get(addr)
+                if conn is None or conn.client_scid != scid:
+                    if self._answer_retry(data, dcid, scid, addr):
+                        return
+                    self._drop_idle()
+                    self.conns[addr] = _ServerConn(self, addr, original_dcid=dcid, client_scid=scid)
+                level = EncryptionLevel.INITIAL
+            else:
+                level = EncryptionLevel.ZERO_RTT if packet_type == 1 else EncryptionLevel.HANDSHAKE
         else:
             level = EncryptionLevel.ONE_RTT
-        if self.conn is not None:
-            self.conn.handle_datagram(data, level)
+        conn = self.conns.get(addr)
+        if conn is None:
+            return
+        conn.handle_datagram(data, level)
+        if conn.closed:
+            del self.conns[addr]
+
+    def _drop_idle(self) -> None:
+        """Forget connections silent for longer than the advertised idle
+        timeout: a client that went away without a close, or whose close
+        was lost or ignored, leaves its entry behind."""
+        if self.idle_timeout_s is None:
+            return
+        now = time.monotonic()
+        for addr in [a for a, c in self.conns.items() if now - c.last_seen > self.idle_timeout_s]:
+            del self.conns[addr]
+
+    def _answer_retry(self, data: bytes, dcid: bytes, scid: bytes, addr) -> bool:
+        """Send Retry instead of starting a connection, if the server is
+        busy and the client hello carries no token of ours."""
+        limit = self.config.retry_above
+        if limit is None or _initial_token(data, dcid, scid).startswith(RETRY_TOKEN_PREFIX):
+            return False
+        if sum(1 for c in self.conns.values() if not c.provider.handshake_complete) < limit:
+            return False
+        header = PacketHeader(
+            packet_type=PacketType.RETRY,
+            dcid=scid,
+            scid=server_scid(self.config.seed),
+            token=RETRY_TOKEN_PREFIX + dcid,
+        )
+        body = serialize_header(header)
+        datagram = body + retry_integrity_tag(body, dcid)
+        self.log_sent(EncryptionLevel.INITIAL, datagram, corrupted=False)
+        self.sendto(datagram, addr)
+        return True
 
     def _answer_version_negotiation(self, version: int, dcid: bytes, scid: bytes, addr) -> None:
         fault = self.config.fault

@@ -24,6 +24,9 @@ from ..wire.errors import TruncationError
 from ..wire.varint import decode_varint
 
 INITIAL_SALT_V1 = bytes.fromhex("38762cf7f55934b34d179ae6a4c80cadccbb7f0a")
+# RFC 9001 section 5.8: fixed key and nonce of the Retry integrity tag
+RETRY_KEY_V1 = bytes.fromhex("be0c690b9f66575a1d766b54e368c84e")
+RETRY_NONCE_V1 = bytes.fromhex("461599d35d632bf2239825bb")
 
 AEAD_KEY_LEN = 16
 AEAD_IV_LEN = 12
@@ -124,6 +127,14 @@ def derive_initial_keys(dcid: bytes, version: int = QUIC_V1) -> tuple[KeyMateria
         key_material_from_secret(client_secret, EncryptionLevel.INITIAL, "client"),
         key_material_from_secret(server_secret, EncryptionLevel.INITIAL, "server"),
     )
+
+
+def retry_integrity_tag(retry_without_tag: bytes, original_dcid: bytes) -> bytes:
+    """The 16-byte tag that ends a Retry packet: AES-128-GCM over the
+    pseudo-packet, the client's first destination connection id followed
+    by the Retry packet up to the tag."""
+    pseudo = bytes([len(original_dcid)]) + original_dcid + retry_without_tag
+    return AESGCM(RETRY_KEY_V1).encrypt(RETRY_NONCE_V1, b"", pseudo)
 
 
 def decode_packet_number(truncated: int, pn_nbits: int, largest_pn: int) -> int:

@@ -77,23 +77,24 @@ def run_scenario(
 
 
 def run_suite(plan: SuitePlan) -> list[Trace]:
-    """Run every scenario against every target, each on a fresh connection,
-    in the seed-determined order. Never raises for per-scenario failures."""
+    """Run every scenario against every target, each on a fresh connection.
+    A target's scenarios run concurrently and start in the seed-determined
+    order; up to ``plan.parallel`` targets run at once. The traces come
+    back grouped by target in input order, each group in the seeded order.
+    Never raises for per-scenario failures."""
     order = scenario_order(plan.scenarios, plan.seed)
 
     def probe_target(target: dict) -> list[Trace]:
-        return [
-            run_scenario(
-                name, target, provider_seed=plan.provider_seed, timeout_ms=plan.timeout_ms
-            )
-            for name in order
-        ]
+        # one thread per scenario, submitted in the seeded order
+        with ThreadPoolExecutor(max_workers=max(len(order), 1)) as pool:
+            futures = [
+                pool.submit(run_scenario, name, target, plan.provider_seed, plan.timeout_ms)
+                for name in order
+            ]
+            return [future.result() for future in futures]
 
-    if plan.parallel <= 1 or len(plan.targets) <= 1:
-        grouped = [probe_target(t) for t in plan.targets]
-    else:
-        with ThreadPoolExecutor(max_workers=plan.parallel) as pool:
-            grouped = list(pool.map(probe_target, plan.targets))
+    with ThreadPoolExecutor(max_workers=max(plan.parallel, 1)) as pool:
+        grouped = list(pool.map(probe_target, plan.targets))
     return [trace for group in grouped for trace in group]
 
 

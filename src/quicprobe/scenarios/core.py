@@ -7,8 +7,6 @@ scenario-specific results object.
 
 from __future__ import annotations
 
-import time
-
 from ..conn import FULL_ROSTER, perform_handshake, unfinished_stage
 from ..protection import EncryptionLevel
 from ..wire import PingFrame, StreamFrame, lenient_decode_tp
@@ -126,9 +124,7 @@ class AddressValidationScenario(Scenario):
         conn.run_until(lambda: conn.client_finished_ready, ctx.timeout_s / 2)
         if not conn.client_finished_ready:
             return prerequisite_code(unfinished_stage(conn)), {}
-        deadline = time.monotonic() + self.SETTLE_S
-        while time.monotonic() < deadline:
-            conn.pump(0.02)
+        conn.settle(self.SETTLE_S)
         received, sent = conn.bytes_received, conn.bytes_sent
         conn.release_client_finished()
         outcome = perform_handshake(conn, timeout_ms=int(ctx.timeout_s * 500))
@@ -169,7 +165,7 @@ class FlowControlScenario(Scenario):
             or conn.blocked_frames_received > BLOCKED_LOOP_THRESHOLD,
             min(3.0, ctx.timeout_s),
         )
-        conn.pump(0.3)  # settle: a violating server would keep sending here
+        conn.settle(0.3)  # a violating server would keep sending here
         first_burst = stream.recv.highest_offset
 
         def results() -> dict:
@@ -196,7 +192,7 @@ class FlowControlScenario(Scenario):
             or conn.blocked_frames_received > BLOCKED_LOOP_THRESHOLD,
             min(3.0, ctx.timeout_s),
         )
-        conn.pump(0.3)
+        conn.settle(0.3)
         if conn.empty_stream_frames_received:
             return codes.FC_EMPTY_STREAM_FRAME, results()
         if stream.recv.highest_offset > 160:
@@ -241,7 +237,7 @@ class StreamOpeningReorderingScenario(Scenario):
             lambda: stream.recv.delivered or conn.closed or conn.flagged_acks_received,
             min(3.0, ctx.timeout_s),
         )
-        conn.pump(0.2)
+        conn.settle(0.2)
         results = {
             "response_bytes": len(stream.recv.delivered),
             "flagged_acks": conn.flagged_acks_received,

@@ -10,7 +10,7 @@ import html
 import posixpath
 
 from .metrics import csv_text
-from .model import RunCorpus, outcome, trace_filename
+from .model import RunCorpus, outcome
 
 _CELL_STYLES = {
     "success": "background:#c8e6c9;color:#1b5e20",
@@ -21,9 +21,9 @@ _CELL_STYLES = {
 
 
 def render_grid(corpus: RunCorpus, date: str, corpus_link: str = "") -> tuple[str, str]:
-    """(html, csv) for one run date. A cell links to its trace where
-    ``write_trace`` puts it, ``<date>/<target>_<scenario>.json``, below
-    ``corpus_link``: the corpus root as seen from the HTML file."""
+    """(html, csv) for one run date. A cell links to the file its trace
+    was read from (``RunCorpus.path``), below ``corpus_link``: the corpus
+    root as seen from the HTML file."""
     by_target = corpus.by_target(date)
     targets = list(by_target)
     scenarios = sorted({name for by_scenario in by_target.values() for name in by_scenario})
@@ -52,7 +52,7 @@ def render_grid(corpus: RunCorpus, date: str, corpus_link: str = "") -> tuple[st
     parts.append("</tr>")
     for name, cells in rows:
         parts.append(f"<tr><td style='border:1px solid #ccc;padding:4px 8px'>{html.escape(name)}</td>")
-        for trace in cells:
+        for target, trace in zip(targets, cells):
             if trace is None:
                 parts.append(
                     f"<td style='border:1px solid #ccc;padding:4px 8px;text-align:center;"
@@ -60,7 +60,7 @@ def render_grid(corpus: RunCorpus, date: str, corpus_link: str = "") -> tuple[st
                 )
                 continue
             style = _CELL_STYLES[outcome(trace.error_code)]
-            href = html.escape(posixpath.join(corpus_link, date, trace_filename(trace)))
+            href = html.escape(posixpath.join(corpus_link, corpus.path(date, target, name)))
             parts.append(
                 f"<td style='border:1px solid #ccc;padding:4px 8px;text-align:center;{style}'>"
                 f"<a style='color:inherit' href='{href}'>{trace.error_code}</a></td>"

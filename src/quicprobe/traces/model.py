@@ -7,6 +7,7 @@ gracefully.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -100,8 +101,8 @@ class Trace:
 
 class TraceBuilder:
     """Collects one scenario run. A builder belongs to one scenario on one
-    thread: ``run_suite`` gives each target thread its own builders, so
-    appends need no lock."""
+    thread: ``run_suite`` runs each scenario in its own thread, so appends
+    need no lock."""
 
     def __init__(self, scenario: str, scenario_version: int, target: dict):
         self.scenario = scenario
@@ -153,7 +154,12 @@ class TraceBuilder:
 
 
 def trace_filename(trace: Trace) -> str:
-    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in trace.target_name)
+    """``<target>_<scenario>.json``; a target name that needed sanitizing
+    gets a short hash of the raw name, so ``a b`` and ``a_b`` differ."""
+    name = trace.target_name
+    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
+    if safe != name:
+        safe += "-" + hashlib.sha256(name.encode()).hexdigest()[:8]
     return f"{safe}_{trace.scenario}.json"
 
 
@@ -177,18 +183,28 @@ class RunCorpus:
     def __post_init__(self):
         given, self.traces = self.traces, []
         self._index: dict[str, dict[str, dict[str, Trace]]] = {}
+        self._paths: dict[tuple[str, str, str], str] = {}
         for trace in given:
             self.add(trace)
 
-    def add(self, trace: Trace) -> bool:
-        """Index and keep ``trace``; False, keeping nothing, if its key is taken."""
+    def add(self, trace: Trace, path: str | None = None) -> bool:
+        """Index and keep ``trace``, read from ``path`` below the corpus
+        root; False, keeping nothing, if its key is taken."""
         date, target, scenario = trace.key
         by_scenario = self._index.setdefault(date, {}).setdefault(target, {})
         if scenario in by_scenario:
             return False
         by_scenario[scenario] = trace
         self.traces.append(trace)
+        if path is not None:
+            self._paths[date, target, scenario] = path
         return True
+
+    def path(self, date: str, target: str, scenario: str) -> str:
+        """Where the trace of a key lies below the corpus root: the file it
+        was read from, else where ``write_trace`` puts it."""
+        key = (date, target, scenario)
+        return self._paths.get(key) or f"{date}/{trace_filename(self.get(*key))}"
 
     def dates(self) -> list[str]:
         return sorted(self._index)
@@ -211,7 +227,9 @@ def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
     already read, in path order."""
     corpus = RunCorpus()
     warnings: list[str] = []
-    for path in sorted(Path(root).glob("**/*.json")):
+    root = Path(root)
+    skip = len(str(root / "x")) - 1  # the root's share of each path found below it
+    for path in sorted(root.glob("**/*.json")):
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -219,6 +237,6 @@ def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             warnings.append(f"{path}: {exc!r}")
             continue
-        if not corpus.add(trace):
+        if not corpus.add(trace, str(path)[skip:]):
             warnings.append(f"{path}: duplicate trace for {trace.key}, keeping the first")
     return corpus, warnings

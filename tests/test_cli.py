@@ -76,6 +76,25 @@ def test_grid_links_resolve_from_a_separate_report_directory(tmp_path, monkeypat
     assert hrefs == len(traces)
 
 
+def test_grid_links_follow_the_files_read(tmp_path):
+    # traces under names write_trace would not give them, as in a corpus
+    # written before sanitized target names got their hash suffix
+    traces = build_synthetic_corpus()[:2]
+    for index, trace in enumerate(traces):
+        path = tmp_path / "corpus" / trace.date / "old" / f"kept{index}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(trace.to_json()))
+    out = tmp_path / "report"
+    assert quicprobe_main(["report", "--corpus", str(tmp_path / "corpus"), "--out", str(out)]) == 0
+    hrefs = [
+        href
+        for grid in out.glob("grid_*.html")
+        for href in re.findall(r"href='([^']*)'", grid.read_text())
+    ]
+    assert sorted(href.rsplit("/", 1)[1] for href in hrefs) == ["kept0.json", "kept1.json"]
+    assert all((out / href).is_file() for href in hrefs)
+
+
 def test_run_rejects_unknown_scenario(server, tmp_path):
     targets = tmp_path / "targets.txt"
     targets.write_text(f"local,127.0.0.1:{server.port}\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import socket
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,14 @@ from quicprobe.conn import (
 from quicprobe.conn import events
 from quicprobe.conn.agents import Agent, build_agents
 from quicprobe.conn.streams import FlowControlAssertion
-from quicprobe.protection import EncryptionLevel, NullHandshakeProvider, derive_initial_keys, protect
+from quicprobe.protection import (
+    EncryptionLevel,
+    NullHandshakeProvider,
+    derive_initial_keys,
+    protect,
+    retry_integrity_tag,
+    unprotect,
+)
 from quicprobe.scenarios.base import default_client_tp
 from quicprobe.traces import TraceBuilder
 from quicprobe.wire import (
@@ -30,6 +38,8 @@ from quicprobe.wire import (
     PingFrame,
     StreamFrame,
     encode_transport_parameters,
+    parse_frames,
+    serialize_header,
 )
 
 
@@ -334,6 +344,91 @@ def test_perform_handshake_no_response(silent_peer):
     assert not outcome.succeeded
     assert outcome.stage is HandshakeStage.NO_RESPONSE
     conn.stop()
+
+
+def test_settle_sees_a_datagram_that_arrives_late():
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    conn = make_conn(peer.getsockname(), roster=frozenset())
+    client = conn.sock.getsockname()
+    late = threading.Timer(0.1, peer.sendto, (b"\x00" * 70, client))
+    try:
+        peer.sendto(b"\x00" * 50, client)
+        late.start()
+        conn.settle(0.3)
+        assert conn.bytes_received == 120
+    finally:
+        late.join()
+        conn.stop()
+        peer.close()
+
+
+class TestRetry:
+    """The client follows one valid Retry and discards every other."""
+
+    @pytest.fixture
+    def peer(self):
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(2.0)
+        yield sock
+        sock.close()
+
+    @staticmethod
+    def read_initial(peer, dcid):
+        """The next client Initial: (header, CRYPTO bytes), opened with the
+        Initial keys of ``dcid``."""
+        data, addr = peer.recvfrom(65535)
+        client_keys, _ = derive_initial_keys(dcid)
+        header, plaintext = unprotect(data, client_keys)
+        crypto = b"".join(f.data for f in parse_frames(plaintext) if isinstance(f, CryptoFrame))
+        return header, crypto, len(data), addr
+
+    @staticmethod
+    def retry(conn, scid, token, tag_dcid=None):
+        body = serialize_header(
+            PacketHeader(packet_type=PacketType.RETRY, dcid=conn.scid, scid=scid, token=token)
+        )
+        return body + retry_integrity_tag(body, tag_dcid or conn.original_dcid)
+
+    def test_follows_a_valid_retry_once(self, peer):
+        conn = make_conn(peer.getsockname(), trace=TraceBuilder("handshake", 1, {"name": "t"}))
+        try:
+            first, hello, _, addr = self.read_initial(peer, conn.original_dcid)
+            assert first.token == b""
+            peer.sendto(self.retry(conn, b"\x11" * 8, b"tok"), addr)
+            conn.pump(1.0)
+            again, crypto, size, _ = self.read_initial(peer, b"\x11" * 8)
+            assert (again.dcid, again.token, crypto) == (b"\x11" * 8, b"tok", hello)
+            assert again.packet_number > first.packet_number  # numbers go on
+            assert size >= 1200
+            # a second Retry is not followed
+            peer.sendto(self.retry(conn, b"\x22" * 8, b"tok2"), addr)
+            conn.pump(1.0)
+            assert (conn.dcid, conn.retry_token) == (b"\x11" * 8, b"tok")
+            assert [n["detail"] for n in conn.trace.notes if n["kind"] == "retry_discarded"] == [
+                "not the server's first answer"
+            ]
+        finally:
+            conn.stop()
+
+    @pytest.mark.parametrize(
+        "scid_token_tag, reason",
+        [
+            ((b"\x11" * 8, b"tok", b"\x99" * 8), "integrity tag mismatch"),
+            ((b"\x11" * 8, b"", None), "empty token"),
+        ],
+    )
+    def test_discards_an_invalid_retry(self, peer, scid_token_tag, reason):
+        conn = make_conn(peer.getsockname(), trace=TraceBuilder("handshake", 1, {"name": "t"}))
+        try:
+            _, _, _, addr = self.read_initial(peer, conn.original_dcid)
+            peer.sendto(self.retry(conn, *scid_token_tag), addr)
+            conn.pump(1.0)
+            assert (conn.dcid, conn.retry_token) == (conn.original_dcid, b"")
+            assert [n["detail"] for n in conn.trace.notes] == [reason]
+        finally:
+            conn.stop()
 
 
 def test_every_event_type_is_acted_on():

@@ -2,16 +2,21 @@
 codes the scenario matrix asserts."""
 
 import contextlib
+import time
 
 import pytest
 
 from quicprobe.conn import FULL_ROSTER, Connection, perform_handshake
-from quicprobe.faultsrv import FaultSpec, ServerConfig, serve
+from quicprobe.faultsrv import FaultSpec, ServerConfig, default_transport_parameters, serve
 from quicprobe.protection import EncryptionLevel, NullHandshakeProvider
-from quicprobe.scenarios import codes, run_scenario
+from quicprobe.scenarios import SuitePlan, codes, run_scenario, run_suite
 from quicprobe.scenarios.base import default_client_tp
 from quicprobe.wire import encode_transport_parameters
-from quicprobe.wire.transport_params import TP_INITIAL_MAX_DATA, TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL
+from quicprobe.wire.transport_params import (
+    TP_INITIAL_MAX_DATA,
+    TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL,
+    TP_MAX_IDLE_TIMEOUT,
+)
 from quicprobe.wire.varint import decode_varint
 
 
@@ -47,6 +52,48 @@ def tp_ids(raw: bytes) -> list[int]:
         pos += used + length
         ids.append(param_id)
     return ids
+
+
+def test_interleaved_connections_on_one_server():
+    with fault_server("none") as server:
+        # both Initials reach the server before either handshake goes on
+        conns = [connect(server), connect(server)]
+        for conn in conns:
+            assert perform_handshake(conn, 3000).succeeded
+        for conn in conns:
+            conn.send_stream(0, b"GET /index.html\r\n", fin=True)
+            conn.run_until(lambda: conn.stream(0).recv.finished, 3.0)
+            assert conn.stream(0).recv.delivered.endswith(b"</html>")
+        for conn in conns:
+            conn.close()
+            conn.stop()
+        deadline = time.monotonic() + 2.0
+        while server.conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.conns == {}
+
+
+def test_idle_connections_are_forgotten():
+    # a livelocked connection never sees the client's close, so only its
+    # advertised idle timeout ends its entry
+    tp = default_transport_parameters()
+    tp.set_int(TP_MAX_IDLE_TIMEOUT, 500)
+    server = serve(ServerConfig(fault=FaultSpec(name="reorder_livelock"), transport_parameters=tp))
+    try:
+        plan = SuitePlan(
+            targets=[{"name": "l", "host": "127.0.0.1", "port": server.port}],
+            scenarios=["stream_opening_reordering"],
+            timeout_ms=1000,
+        )
+        assert run_suite(plan)[0].error_code == codes.SOR_NO_RESPONSE
+        first = set(server.conns)
+        assert len(first) == 1
+        time.sleep(0.6)
+        assert run_suite(plan)[0].error_code == codes.SOR_NO_RESPONSE
+        assert len(server.conns) == 1 and not first & set(server.conns)
+    finally:
+        server.stop()
+    assert server.errors == []
 
 
 def test_tp_duplicate_blob_contains_initial_max_data_twice():

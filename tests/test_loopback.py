@@ -1,13 +1,21 @@
 """Loopback integration: the suite against its own reference server."""
 
+import sys
 import time
 
 import pytest
 
 from quicprobe.dissector import coverage_ok, dissect, quic_v1_description
-from quicprobe.faultsrv import FaultSpec, ServerConfig, default_body, serve
+from quicprobe.faultsrv import FAULT_EXPECTATIONS, FaultSpec, ServerConfig, default_body, serve
 from quicprobe.faultsrv import server as server_module
-from quicprobe.scenarios import SuitePlan, codes, run_scenario, run_suite
+from quicprobe.scenarios import (
+    ALL_SCENARIOS,
+    SuitePlan,
+    codes,
+    run_scenario,
+    run_suite,
+    scenario_order,
+)
 from quicprobe.traces import read_corpus, write_trace
 from quicprobe.wire import (
     AckFrame,
@@ -171,24 +179,71 @@ def test_handshake_over_ipv6():
     assert trace.error_code == 0
 
 
+def _run_two_parallel_targets(ports, scenarios):
+    plan = SuitePlan(
+        targets=[
+            {"name": name, "host": "127.0.0.1", "port": port}
+            for name, port in zip(("one", "two"), ports)
+        ],
+        scenarios=scenarios,
+        seed=4,
+        parallel=2,
+    )
+    traces = run_suite(plan)
+    order = scenario_order(plan.scenarios, plan.seed)
+    assert [(t.target["name"], t.scenario) for t in traces] == [
+        (name, scenario) for name in ("one", "two") for scenario in order
+    ]
+    assert [(t.target["name"], t.scenario, t.error_code) for t in traces if t.error_code] == []
+
+
 def test_two_parallel_targets():
     s1, s2 = serve(ServerConfig()), serve(ServerConfig())
     try:
-        plan = SuitePlan(
-            targets=[
-                {"name": "one", "host": "127.0.0.1", "port": s1.port},
-                {"name": "two", "host": "127.0.0.1", "port": s2.port},
-            ],
-            scenarios=["handshake", "flow_control"],
-            seed=4,
-            parallel=2,
-        )
-        traces = run_suite(plan)
+        _run_two_parallel_targets([s1.port, s2.port], ["handshake", "flow_control"])
     finally:
         s1.stop()
         s2.stop()
     assert s1.errors == [] and s2.errors == []
-    assert len(traces) == 4
-    assert all(t.error_code == 0 for t in traces)
-    names = {(t.target["name"], t.scenario) for t in traces}
-    assert len(names) == 4
+
+
+def test_two_parallel_targets_on_one_server(compliant_server):
+    # every scenario of both targets at once: fourteen interleaved clients,
+    # with threads switched far more often than by default
+    port = compliant_server.port
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _run_two_parallel_targets([port, port], sorted(ALL_SCENARIOS))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _is_retry(entry) -> bool:
+    return entry["level"] == "none" and int(entry["cleartext_hex"][:2], 16) & 0xB0 == 0xB0
+
+
+@pytest.mark.parametrize(
+    "fault", ["none", "stall_after_sh", "no_amplification_limit", "reject_0rtt"]
+)
+def test_verdicts_hold_when_a_busy_server_answers_with_retry(fault):
+    # a server under load may answer a burst of client hellos with Retry;
+    # all of a target's scenarios start at once, so most of them get one
+    server = serve(ServerConfig(fault=FaultSpec(name=fault), retry_above=1))
+    try:
+        plan = SuitePlan(targets=[target_of(server)], seed=21, timeout_ms=2000)
+        traces = run_suite(plan)
+    finally:
+        server.stop()
+    assert server.errors == []
+    expected = FAULT_EXPECTATIONS[fault]
+    assert {t.scenario: t.error_code for t in traces} == {
+        name: expected.get(name, 0) for name in plan.scenarios
+    }
+    retried = [t.scenario for t in traces if any(_is_retry(p) for p in t.packets)]
+    assert len(retried) >= 3, retried
+    desc = quic_v1_description()
+    for trace in traces:
+        for entry in trace.packets:
+            raw = bytes.fromhex(entry["cleartext_hex"])
+            assert coverage_ok(dissect(raw, desc), len(raw))

@@ -10,6 +10,7 @@ from quicprobe.protection import (
     derive_initial_keys,
     packet_number_length,
     protect,
+    retry_integrity_tag,
     unprotect,
 )
 from quicprobe.wire import PacketHeader, PacketType, parse_frames, parse_header
@@ -25,6 +26,15 @@ CLIENT_HP = bytes.fromhex("9f50449e04a0e810283a1e9933adedd2")
 SERVER_KEY = bytes.fromhex("cf3a5331653c364c88f0f379b6067e37")
 SERVER_IV = bytes.fromhex("0ac1493ca1905853b0bba03e")
 SERVER_HP = bytes.fromhex("c206b8d9b9f0f37644430b490eeaa314")
+
+
+def test_retry_integrity_tag_matches_published_vector():
+    # RFC 9001 appendix A.4: the Retry answering the client Initial of A.2
+    retry = bytes.fromhex(
+        "ff000000010008f067a5502a4262b5746f6b656e04a265ba2eff4d829058fb3f0f2496ba"
+    )
+    assert retry_integrity_tag(retry[:-16], DCID) == retry[-16:]
+    assert retry_integrity_tag(retry[:-16], DCID[::-1]) != retry[-16:]
 
 
 def test_initial_keys_match_published_vectors():

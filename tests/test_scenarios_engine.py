@@ -153,6 +153,29 @@ class TestUnreachableTarget:
                 assert 200 <= trace.error_code <= 255, (trace.scenario, trace.error_code)
                 assert outcome(trace.error_code) == "error"
 
+    def test_scenarios_of_a_target_wait_together(self):
+        # every scenario waits out its timeout on a silent socket; run one
+        # after another they would start seconds apart
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        try:
+            plan = SuitePlan(
+                targets=[{"name": "silent", "host": "127.0.0.1", "port": sock.getsockname()[1]}],
+                seed=5,
+                timeout_ms=500,
+            )
+            traces = run_suite(plan)
+        finally:
+            sock.close()
+        assert [t.scenario for t in traces] == scenario_order(plan.scenarios, plan.seed)
+        first = traces[0].started_at
+        assert all(abs(t.started_at - first) <= 250 for t in traces), [
+            t.started_at - first for t in traces
+        ]
+        for trace in traces:
+            if ALL_SCENARIOS[trace.scenario].requires_handshake:
+                assert 200 <= trace.error_code <= 255, (trace.scenario, trace.error_code)
+
     def test_suite_completes_even_when_everything_errors(self):
         plan = SuitePlan(
             targets=[{"name": "void", "host": "127.0.0.1", "port": 1}],

@@ -71,6 +71,17 @@ class TestPersistence:
         assert loaded.traces[0].error_code == 0
         assert len(warnings) == 1
 
+    def test_sanitized_target_names_do_not_collide(self, tmp_path):
+        paths = {
+            write_trace(make_trace(D1, name, "handshake", 0), tmp_path).name
+            for name in ("a b", "a_b")
+        }
+        assert len(paths) == 2
+        assert "a_b_handshake.json" in paths  # a name that needs no change keeps it
+        loaded, warnings = read_corpus(tmp_path)
+        assert warnings == []
+        assert sorted(t.target_name for t in loaded.traces) == ["a b", "a_b"]
+
     def test_vn_results_preserved_exactly(self, tmp_path):
         versions = [1, 0xFF00001D, 0x709A50C4]
         trace = make_trace(D1, "alpha", "version_negotiation", 0, {"versions": versions})
