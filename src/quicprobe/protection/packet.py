@@ -10,12 +10,12 @@ and header-protection key. Cryptographic primitives come from the
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes, hmac
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher, CipherContext, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
@@ -78,16 +78,28 @@ SPACE_FOR_LEVEL = {
 
 @dataclass(frozen=True)
 class KeyMaterial:
+    """Keys of one level and direction, with their ciphers built once.
+
+    The header-protection encryptor keeps state between calls, so a
+    ``KeyMaterial`` must never be used by two threads: each belongs to
+    one connection and is used only by the thread that drives it.
+    """
+
     level: EncryptionLevel
     direction: str  # "client" or "server": who *sends* under these keys
     key: bytes
     iv: bytes
     header_protection_key: bytes
+    aead: AESGCM = field(init=False, repr=False, compare=False)
+    hp_encryptor: CipherContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assert len(self.key) == AEAD_KEY_LEN
         assert len(self.iv) == AEAD_IV_LEN
         assert len(self.header_protection_key) == HP_KEY_LEN
+        object.__setattr__(self, "aead", AESGCM(self.key))
+        hp = Cipher(algorithms.AES(self.header_protection_key), modes.ECB())
+        object.__setattr__(self, "hp_encryptor", hp.encryptor())
 
 
 def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
@@ -162,12 +174,7 @@ def packet_number_length(pn: int, largest_acked: int = -1) -> int:
 
 
 def _nonce(iv: bytes, packet_number: int) -> bytes:
-    return bytes(a ^ b for a, b in zip(iv, packet_number.to_bytes(AEAD_IV_LEN, "big")))
-
-
-def _hp_mask(hp_key: bytes, sample: bytes) -> bytes:
-    enc = Cipher(algorithms.AES(hp_key), modes.ECB()).encryptor()
-    return enc.update(sample) + enc.finalize()
+    return (int.from_bytes(iv, "big") ^ packet_number).to_bytes(AEAD_IV_LEN, "big")
 
 
 def cleartext_packet_bytes(header: PacketHeader, plaintext: bytes) -> bytes:
@@ -195,12 +202,12 @@ def protect(header: PacketHeader, plaintext: bytes, keys: KeyMaterial) -> bytes:
     sealed_len = header.pn_length + len(plaintext) + AEAD_TAG_LEN
     aad = serialize_header(replace(header, length=sealed_len))
     nonce = _nonce(keys.iv, header.packet_number)
-    ciphertext = AESGCM(keys.key).encrypt(nonce, plaintext, aad)
+    ciphertext = keys.aead.encrypt(nonce, plaintext, aad)
 
     packet = bytearray(aad + ciphertext)
     pn_offset = len(aad) - header.pn_length
     sample = bytes(packet[pn_offset + 4 : pn_offset + 4 + HP_SAMPLE_LEN])
-    mask = _hp_mask(keys.header_protection_key, sample)
+    mask = keys.hp_encryptor.update(sample)
     packet[0] ^= mask[0] & (0x0F if header.is_long else 0x1F)
     for i in range(header.pn_length):
         packet[pn_offset + i] ^= mask[1 + i]
@@ -222,7 +229,7 @@ def unprotect(
     if pn_offset + 4 + HP_SAMPLE_LEN > len(buf):
         raise TruncationError("packet too short for header protection sample", offset=pn_offset)
     sample = buf[pn_offset + 4 : pn_offset + 4 + HP_SAMPLE_LEN]
-    mask = _hp_mask(keys.header_protection_key, sample)
+    mask = keys.hp_encryptor.update(sample)
 
     packet = bytearray(buf)
     is_long = bool(buf[0] & 0x80)
@@ -243,7 +250,7 @@ def unprotect(
     ciphertext = bytes(packet[pn_offset + pn_length : end])
     nonce = _nonce(keys.iv, packet_number)
     try:
-        plaintext = AESGCM(keys.key).decrypt(nonce, ciphertext, aad)
+        plaintext = keys.aead.decrypt(nonce, ciphertext, aad)
     except InvalidTag:
         raise DecryptError(f"AEAD authentication failed for {keys.level.label} packet")
 

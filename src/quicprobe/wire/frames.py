@@ -9,6 +9,7 @@ same misbehaviour.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError, SerializeError, TruncationError
@@ -27,6 +28,9 @@ FRAME_NEW_CONNECTION_ID = 0x18
 FRAME_CONNECTION_CLOSE = 0x1C
 FRAME_CONNECTION_CLOSE_APP = 0x1D
 FRAME_HANDSHAKE_DONE = 0x1E
+
+# A run of one-byte PADDING types: every client Initial carries hundreds.
+_PADDING_RUN = re.compile(b"\x00+")
 
 
 @dataclass
@@ -159,15 +163,19 @@ def parse_frames(plaintext: bytes) -> list[Frame]:
     end = len(plaintext)
     while pos < end:
         start = pos
-        try:
-            ftype, used, _ = decode_varint(plaintext, pos)
-        except TruncationError:
-            raise ParseError("truncated frame type", offset=pos)
-        pos += used
-        try:
-            frame, pos = _parse_one(plaintext, pos, ftype)
-        except TruncationError as exc:
-            raise ParseError(f"truncated frame 0x{ftype:02x}: {exc}", offset=start)
+        if plaintext[pos] == FRAME_PADDING:
+            pos = _PADDING_RUN.match(plaintext, pos).end()
+            frame = PaddingFrame(count=pos - start)
+        else:
+            try:
+                ftype, used, _ = decode_varint(plaintext, pos)
+            except TruncationError:
+                raise ParseError("truncated frame type", offset=pos)
+            pos += used
+            try:
+                frame, pos = _parse_one(plaintext, pos, ftype)
+            except TruncationError as exc:
+                raise ParseError(f"truncated frame 0x{ftype:02x}: {exc}", offset=start)
         if isinstance(frame, PaddingFrame) and frames and isinstance(frames[-1], PaddingFrame):
             frames[-1].count += frame.count
         else:

@@ -13,17 +13,23 @@ from .errors import TruncationError, WireRangeError
 
 VARINT_MAX = (1 << 62) - 1
 
-_THRESHOLDS = (0x3F, 0x3FFF, 0x3FFFFFFF, VARINT_MAX)
+# per two-bit length prefix: the mask of the value bits and the smallest
+# value that needs that length, below which the encoding is not minimal
+_MASKS = (0x3F, 0x3FFF, 0x3FFFFFFF, VARINT_MAX)
+_MIN_VALUES = (0, 0x40, 0x4000, 0x40000000)
 
 
 def varint_size(value: int) -> int:
     """Minimal encoded size in bytes for ``value``."""
     if value < 0 or value > VARINT_MAX:
         raise WireRangeError(f"varint out of range: {value}")
-    for size, limit in zip((1, 2, 4, 8), _THRESHOLDS):
-        if value <= limit:
-            return size
-    raise AssertionError("unreachable")
+    if value <= 0x3F:
+        return 1
+    if value <= 0x3FFF:
+        return 2
+    if value <= 0x3FFFFFFF:
+        return 4
+    return 8
 
 
 def encode_varint(value: int) -> bytes:
@@ -47,15 +53,15 @@ def decode_varint(buf: bytes, offset: int = 0) -> tuple[int, int, bool]:
     """
     if offset >= len(buf):
         raise TruncationError("varint: empty buffer", offset=offset)
-    prefix = buf[offset] >> 6
+    first = buf[offset]
+    if first < 0x40:
+        return first, 1, True
+    prefix = first >> 6
     size = 1 << prefix
     if offset + size > len(buf):
         raise TruncationError(
             f"varint: length prefix declares {size} bytes, {len(buf) - offset} available",
             offset=offset,
         )
-    value = buf[offset] & 0x3F
-    for i in range(1, size):
-        value = (value << 8) | buf[offset + i]
-    minimal = size == varint_size(value)
-    return value, size, minimal
+    value = int.from_bytes(buf[offset : offset + size], "big") & _MASKS[prefix]
+    return value, size, value >= _MIN_VALUES[prefix]

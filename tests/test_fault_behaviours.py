@@ -2,12 +2,20 @@
 codes the scenario matrix asserts."""
 
 import contextlib
+import socket
+import sys
 import time
 
 import pytest
 
 from quicprobe.conn import FULL_ROSTER, Connection, perform_handshake
-from quicprobe.faultsrv import FaultSpec, ServerConfig, default_transport_parameters, serve
+from quicprobe.faultsrv import (
+    FaultServer,
+    FaultSpec,
+    ServerConfig,
+    default_transport_parameters,
+    serve,
+)
 from quicprobe.protection import EncryptionLevel, NullHandshakeProvider
 from quicprobe.scenarios import SuitePlan, codes, run_scenario, run_suite
 from quicprobe.scenarios.base import default_client_tp
@@ -203,3 +211,38 @@ def test_handshake_detects_bad_1rtt_protection_every_time():
             run_scenario("handshake", target, timeout_ms=2000).error_code for _ in range(20)
         ]
     assert verdicts == [codes.HS_ONE_RTT_KEYS_UNUSABLE] * 20
+
+
+def test_server_reads_a_padded_client_hello_without_a_varint_per_byte(monkeypatch):
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    peer.settimeout(2.0)
+    try:
+        provider = NullHandshakeProvider(
+            seed=7, is_client=True, local_tp=encode_transport_parameters(default_client_tp())
+        )
+        conn = Connection("127.0.0.1", peer.getsockname()[1], provider, roster=FULL_ROSTER)
+        conn.start()
+        hello, addr = peer.recvfrom(65535)
+        conn.stop()
+    finally:
+        peer.close()
+    assert len(hello) == 1200
+
+    calls = []
+
+    def counting(buf, offset=0):
+        calls.append(offset)
+        return decode_varint(buf, offset)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quicprobe") and getattr(module, "decode_varint", None) is decode_varint:
+            monkeypatch.setattr(module, "decode_varint", counting)
+    server = FaultServer(ServerConfig())  # never started: its answers go nowhere
+    server._handle_datagram(hello, addr)
+    assert server.errors == []
+    assert server.conns[addr].provider.peer_tp_raw is not None
+    assert server.sent_log  # the hello was answered
+    # 19 for the header, the CRYPTO frame and the transport parameters;
+    # the PADDING that fills the datagram to 1200 bytes adds none
+    assert len(calls) <= 32

@@ -1,19 +1,25 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quicprobe.wire import (
     AckFrame,
+    CryptoFrame,
     MaxStreamDataFrame,
     PaddingFrame,
     ParseError,
     PingFrame,
     SerializeError,
     StreamFrame,
+    TruncationError,
+    decode_varint,
     encode_varint,
     parse_frames,
+    serialize_frame,
     serialize_frames,
 )
+from quicprobe.wire import frames as frames_module
 
+from . import strategies
 from .strategies import frame_lists
 
 
@@ -148,3 +154,87 @@ def test_fuzzed_input_terminates_with_frames_or_positioned_error(data):
         assert exc.offset is None or 0 <= exc.offset <= len(data)
     else:
         assert isinstance(frames, list)
+
+
+def per_byte_parse(plaintext):
+    """Reference for ``parse_frames``: every frame type is decoded as a
+    varint, so a PADDING run costs one decode and one frame per byte."""
+    out = []
+    pos = 0
+    while pos < len(plaintext):
+        start = pos
+        try:
+            ftype, used, _ = decode_varint(plaintext, pos)
+        except TruncationError:
+            raise ParseError("truncated frame type", offset=pos)
+        pos += used
+        try:
+            frame, pos = frames_module._parse_one(plaintext, pos, ftype)
+        except TruncationError as exc:
+            raise ParseError(f"truncated frame 0x{ftype:02x}: {exc}", offset=start)
+        if isinstance(frame, PaddingFrame) and out and isinstance(out[-1], PaddingFrame):
+            out[-1].count += frame.count
+        else:
+            out.append(frame)
+    return out
+
+
+def parse_outcome(parse, payload):
+    try:
+        return parse(payload)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.offset)
+
+
+NON_MINIMAL_PADDING = b"\x40\x00"
+
+
+@st.composite
+def padded_payloads(draw):
+    """Frames of every type mixed with PADDING runs of up to 20,000 bytes
+    and non-minimal PADDING types, optionally ending in a truncated frame."""
+    pieces = draw(
+        st.lists(
+            st.one_of(
+                strategies.frames().map(serialize_frame),
+                st.integers(min_value=1, max_value=20_000).map(lambda n: b"\x00" * n),
+                st.just(NON_MINIMAL_PADDING),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    payload = b"".join(pieces)
+    tail = draw(strategies.frames().map(serialize_frame).filter(lambda b: len(b) > 1))
+    cut = draw(st.integers(min_value=0, max_value=len(tail) - 1))
+    return payload + tail[:cut]
+
+
+@settings(deadline=None, max_examples=60)
+@given(padded_payloads())
+@example(b"\x00" * 1100)
+@example(b"\x01" + b"\x00" * 500)
+@example(b"\x00" * 7 + b"\x01" + b"\x00" * 3)
+@example(NON_MINIMAL_PADDING + b"\x00" * 3 + NON_MINIMAL_PADDING)
+@example(b"\x00" * 300 + b"\x06\x00")  # CRYPTO cut short after a run
+@example(b"\x00" * 300 + b"\x40")  # frame type cut short after a run
+def test_padding_runs_parse_as_the_per_byte_reference(payload):
+    assert parse_outcome(parse_frames, payload) == parse_outcome(per_byte_parse, payload)
+
+
+def test_non_minimal_padding_type_is_one_frame_of_two_bytes():
+    assert parse_frames(NON_MINIMAL_PADDING) == [PaddingFrame(count=1)]
+    assert parse_frames(b"\x00" + NON_MINIMAL_PADDING + b"\x00") == [PaddingFrame(count=3)]
+
+
+def test_padding_run_is_parsed_without_a_varint_per_byte(monkeypatch):
+    calls = []
+
+    def counting(buf, offset=0):
+        calls.append(offset)
+        return decode_varint(buf, offset)
+
+    monkeypatch.setattr(frames_module, "decode_varint", counting)
+    payload = serialize_frames([CryptoFrame(offset=0, data=b"x" * 60), PaddingFrame(count=1100)])
+    assert parse_frames(payload) == [CryptoFrame(offset=0, data=b"x" * 60), PaddingFrame(count=1100)]
+    assert len(calls) <= 4

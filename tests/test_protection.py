@@ -1,19 +1,26 @@
+import random
+from dataclasses import replace
+
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, strategies as st
 
 from quicprobe.protection import (
+    AEAD_TAG_LEN,
     DecryptError,
     EncryptionLevel,
     UnsupportedVersionError,
     cleartext_packet_bytes,
     decode_packet_number,
     derive_initial_keys,
+    key_material_from_secret,
     packet_number_length,
     protect,
     retry_integrity_tag,
     unprotect,
 )
-from quicprobe.wire import PacketHeader, PacketType, parse_frames, parse_header
+from quicprobe.wire import PacketHeader, PacketType, parse_frames, parse_header, serialize_header
 
 from . import hkdf_oracle
 
@@ -167,3 +174,75 @@ def test_cleartext_packet_bytes_reparse():
     parsed, offset = parse_header(clear)
     assert parsed.packet_number == 1
     assert parse_frames(clear[offset:]) is not None
+
+
+def fresh_cipher_protect(header, plaintext, keys):
+    """Reference for ``protect``: a new AESGCM and a new ECB cipher for
+    every packet, and the nonce XORed byte by byte."""
+    aad = serialize_header(replace(header, length=header.pn_length + len(plaintext) + AEAD_TAG_LEN))
+    pn_bytes = header.packet_number.to_bytes(len(keys.iv), "big")
+    nonce = bytes(a ^ b for a, b in zip(keys.iv, pn_bytes))
+    packet = bytearray(aad + AESGCM(keys.key).encrypt(nonce, plaintext, aad))
+    pn_offset = len(aad) - header.pn_length
+    sample = bytes(packet[pn_offset + 4 : pn_offset + 20])
+    enc = Cipher(algorithms.AES(keys.header_protection_key), modes.ECB()).encryptor()
+    mask = enc.update(sample) + enc.finalize()
+    packet[0] ^= mask[0] & (0x0F if header.is_long else 0x1F)
+    for i in range(header.pn_length):
+        packet[pn_offset + i] ^= mask[1 + i]
+    return bytes(packet)
+
+
+LEVEL_PACKET_TYPES = {
+    EncryptionLevel.INITIAL: PacketType.INITIAL,
+    EncryptionLevel.ZERO_RTT: PacketType.ZERO_RTT,
+    EncryptionLevel.HANDSHAKE: PacketType.HANDSHAKE,
+    EncryptionLevel.ONE_RTT: PacketType.ONE_RTT,
+}
+
+
+def test_reused_ciphers_match_fresh_ones_over_a_thousand_packets():
+    rng = random.Random(7)
+    keys = {
+        level: key_material_from_secret(bytes([level]) * 32, level, "client")
+        for level in LEVEL_PACKET_TYPES
+    }
+    for _ in range(1000):
+        level = rng.choice(list(LEVEL_PACKET_TYPES))
+        pn_length = rng.randint(1, 4)
+        header = PacketHeader(
+            packet_type=LEVEL_PACKET_TYPES[level],
+            dcid=DCID,
+            scid=b"" if level is EncryptionLevel.ONE_RTT else b"\x01",
+            packet_number=rng.randrange(1 << (8 * pn_length)),
+            pn_length=pn_length,
+        )
+        payload = rng.randbytes(rng.randint(4, 1400))
+        packet = protect(header, payload, keys[level])
+        assert packet == fresh_cipher_protect(header, payload, keys[level])
+        parsed, recovered = unprotect(
+            packet, keys[level], largest_pn=header.packet_number - 1, short_dcid_len=len(DCID)
+        )
+        assert (recovered, parsed.packet_number) == (payload, header.packet_number)
+
+
+def test_key_material_compares_and_prints_by_its_keys_alone():
+    secret = bytes(range(32))
+    first = key_material_from_secret(secret, EncryptionLevel.HANDSHAKE, "server")
+    second = key_material_from_secret(secret, EncryptionLevel.HANDSHAKE, "server")
+    assert first == second
+    assert hash(first) == hash(second)
+    assert first.aead is not second.aead
+    assert repr(first) == repr(second)
+    assert "aead" not in repr(first) and "encryptor" not in repr(first)
+
+
+def test_reused_keys_open_a_good_packet_after_a_flipped_tag():
+    client, _ = derive_initial_keys(DCID)
+    bad = bytearray(protect(_initial_header(0, 2), b"\x01" * 50, client))
+    bad[-1] ^= 0xFF
+    with pytest.raises(DecryptError):
+        unprotect(bytes(bad), client, largest_pn=-1)
+    good = protect(_initial_header(1, 2), b"\x02" * 50, client)
+    header, recovered = unprotect(good, client, largest_pn=0)
+    assert (header.packet_number, recovered) == (1, b"\x02" * 50)
