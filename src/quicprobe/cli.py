@@ -12,7 +12,8 @@ import os
 import sys
 from pathlib import Path
 
-from .scenarios import ALL_SCENARIOS, SuitePlan, run_suite
+from .protection import DEFAULT_PROVIDER_SEED
+from .scenarios import ALL_SCENARIOS, DEFAULT_TIMEOUT_MS, SuitePlan, run_suite
 from .traces import (
     handshake_success_to_csv,
     metric_handshake_success,
@@ -103,13 +104,13 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--targets", required=True, help="file with one name,host:port per line")
     run_p.add_argument("--scenarios", default="all", help="'all' or a comma-separated list")
     run_p.add_argument("--seed", type=int, default=0, help="scenario ordering seed")
-    run_p.add_argument("--timeout-ms", type=int, default=10_000, dest="timeout_ms")
+    run_p.add_argument("--timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS, dest="timeout_ms")
     run_p.add_argument("--out", default="traces", help="trace output directory")
     run_p.add_argument("--parallel", type=int, default=1, help="concurrent targets")
     run_p.add_argument(
         "--provider-seed",
         type=int,
-        default=7,
+        default=DEFAULT_PROVIDER_SEED,
         dest="provider_seed",
         help="scripted-handshake seed (must match the server under test)",
     )

@@ -5,7 +5,6 @@ from .connection import (
     AGENT_ORDER,
     Connection,
     FULL_ROSTER,
-    HandshakeOutcome,
     HandshakeStage,
     INITIAL_DATAGRAM_MIN,
     MAX_DATAGRAM_SIZE,
@@ -15,7 +14,6 @@ from .connection import (
 )
 from .events import (
     Event,
-    LossDetected,
     NewKeysAvailable,
     PacketReceived,
     PacketSent,
@@ -29,10 +27,8 @@ __all__ = [
     "Event",
     "FULL_ROSTER",
     "FlowControlAssertion",
-    "HandshakeOutcome",
     "HandshakeStage",
     "INITIAL_DATAGRAM_MIN",
-    "LossDetected",
     "MAX_DATAGRAM_SIZE",
     "NewKeysAvailable",
     "PacketReceived",

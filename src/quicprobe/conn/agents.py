@@ -37,7 +37,7 @@ from ..wire import (
     serialize_frame,
 )
 from .connection import MAX_DATAGRAM_SIZE, INITIAL_DATAGRAM_MIN, RETRANSMISSION_TIMER_MS
-from .events import LossDetected, NewKeysAvailable, PacketReceived, PacketSent, Timeout
+from .events import NewKeysAvailable, PacketReceived, PacketSent, Timeout
 from .streams import StreamRecv
 
 _LONG_TYPE_LEVELS = (
@@ -294,11 +294,11 @@ class HandshakeAgent(Agent):
 
 class RetransmissionAgent(Agent):
     """Timer-only loss recovery: anything ack-eliciting still unacked after
-    the fixed timer is declared lost, and LossDetected re-queues the lost
-    packet's data frames (everything but ACK and PADDING) at its level."""
+    the fixed timer is declared lost, and its data frames (everything but
+    ACK and PADDING) are queued again at its level."""
 
     name = "retransmission"
-    subscriptions = (PacketReceived, PacketSent, Timeout, LossDetected)
+    subscriptions = (PacketReceived, PacketSent, Timeout)
 
     def handle(self, conn, event) -> None:
         if isinstance(event, PacketSent):
@@ -317,29 +317,16 @@ class RetransmissionAgent(Agent):
                         del space.sent[pn]
                     space.largest_acked = max(space.largest_acked, high)
             return
-        if isinstance(event, LossDetected):
-            space = conn.space(event.level)
-            for pn in event.packet_numbers:
-                packet = space.sent.pop(pn, None)
-                if packet is None:
-                    continue
-                for frame in packet.frames:
-                    if not isinstance(frame, (AckFrame, PaddingFrame)):
-                        conn.queue_frame(packet.level, frame)
-            return
         if isinstance(event, Timeout) and event.timer_id == "retrans":
-            now = time.monotonic()
-            lost_by_level: dict[EncryptionLevel, list[int]] = {}
+            expired = time.monotonic() - RETRANSMISSION_TIMER_MS / 1000
             for space in conn.spaces.values():
-                for pn, sp in space.sent.items():
-                    if (
-                        sp.ack_eliciting
-                        and sp.retransmittable
-                        and now - sp.sent_at >= RETRANSMISSION_TIMER_MS / 1000
-                    ):
-                        lost_by_level.setdefault(sp.level, []).append(pn)
-            for level, pns in lost_by_level.items():
-                conn.emit(LossDetected(packet_numbers=sorted(pns), level=level))
+                lost = [
+                    pn
+                    for pn, sp in space.sent.items()
+                    if sp.ack_eliciting and sp.retransmittable and sp.sent_at <= expired
+                ]
+                conn.requeue(space, lost)
+            # what was just declared lost re-arms the timer when it goes out again
             if any(
                 sp.ack_eliciting and sp.retransmittable
                 for space in conn.spaces.values()

@@ -68,13 +68,6 @@ class HandshakeStage(Enum):
     NO_RESPONSE = "no_response"
     VERSION_MISMATCH = "version_mismatch"
     INCOMPLETE = "handshake_incomplete"
-    KEYS_UNAVAILABLE = "keys_unavailable"
-
-
-@dataclass
-class HandshakeOutcome:
-    succeeded: bool
-    stage: HandshakeStage | None = None
 
 
 @dataclass
@@ -242,10 +235,16 @@ class Connection:
     # -- pumping ----------------------------------------------------------
 
     def pump(self, wait: float = 0.05) -> None:
-        """Wait briefly for datagrams, then process events, timers and the
-        send path until quiescent."""
+        """Send what is queued, wait up to ``wait`` seconds for datagrams,
+        or less if a timer falls due sooner, then process events, timers
+        and the send path until quiescent."""
         if self.sock is None:
             return
+        # a timer armed by this send bounds the wait below
+        self._flush()
+        self._drain_bus()
+        if self.timers:
+            wait = min(wait, min(self.timers.values()) - time.monotonic())
         readable, _, _ = select.select([self.sock], [], [], max(wait, 0))
         if readable:
             while True:
@@ -253,7 +252,12 @@ class Connection:
                     datagram = self.sock.recv(65535)
                 except (BlockingIOError, InterruptedError):
                     break
-                except OSError:
+                except OSError as exc:
+                    # e.g. the ICMP port-unreachable answer to an earlier send
+                    if self.trace:
+                        self.trace.note(
+                            "socket_error", {"errno": exc.errno, "error": exc.strerror}
+                        )
                     break
                 if not datagram:
                     break
@@ -283,7 +287,7 @@ class Connection:
             now = time.monotonic()
             if now >= deadline:
                 return bool(predicate())
-            self.pump(min([deadline, *self.timers.values()]) - now)
+            self.pump(deadline - now)
 
     def settle(self, seconds: float) -> None:
         """Pump for the whole window, however many datagrams arrive and
@@ -329,12 +333,17 @@ class Connection:
         self.keys[(EncryptionLevel.INITIAL, "client")] = client_keys
         self.keys[(EncryptionLevel.INITIAL, "server")] = server_keys
         for name in ("initial", "application"):
-            sent = self.spaces[name].sent
-            for pn in sorted(sent):
-                packet = sent.pop(pn)
-                self.queues[packet.level].extend(
-                    f for f in packet.frames if not isinstance(f, (AckFrame, PaddingFrame))
-                )
+            space = self.spaces[name]
+            self.requeue(space, list(space.sent))
+
+    def requeue(self, space: PacketSpace, packet_numbers) -> None:
+        """Forget these sent packets and queue their frames again at their
+        own levels, all but ACK and PADDING, in packet-number order."""
+        for pn in sorted(packet_numbers):
+            packet = space.sent.pop(pn)
+            self.queues[packet.level].extend(
+                f for f in packet.frames if not isinstance(f, (AckFrame, PaddingFrame))
+            )
 
     # -- send path ----------------------------------------------------------
 
@@ -371,7 +380,6 @@ class Connection:
             )
         frame = StreamFrame(stream_id=stream_id, offset=stream.send.offset, data=data, fin=fin)
         stream.send.offset = end
-        stream.send.fin_sent = stream.send.fin_sent or fin
         self.connection_bytes_sent += len(data)
         self.queue_frame(level, frame)
 
@@ -513,17 +521,12 @@ class Connection:
             self.trace.log_undecryptable(level.label, raw)
 
 
-def perform_handshake(conn: Connection, timeout_ms: int = 10_000) -> HandshakeOutcome:
-    """Drive the connection until the 1-RTT exchange finished, or report
-    the stage it failed at."""
-    conn.run_until(lambda: conn.handshake_complete or conn.closed, timeout_ms / 1000)
-    if conn.handshake_complete:
-        if conn.send_keys(EncryptionLevel.ONE_RTT) is None or (
-            conn.recv_keys(EncryptionLevel.ONE_RTT) is None
-        ):
-            return HandshakeOutcome(False, HandshakeStage.KEYS_UNAVAILABLE)
-        return HandshakeOutcome(True)
-    return HandshakeOutcome(False, unfinished_stage(conn))
+def perform_handshake(conn: Connection, timeout_s: float) -> HandshakeStage | None:
+    """Drive the connection until the 1-RTT exchange finished and return
+    None, or return the stage the handshake is stuck at. A complete
+    handshake has both 1-RTT keys: the handshake agent waits for them."""
+    conn.run_until(lambda: conn.handshake_complete or conn.closed, timeout_s)
+    return None if conn.handshake_complete else unfinished_stage(conn)
 
 
 def unfinished_stage(conn: Connection) -> HandshakeStage:

@@ -32,14 +32,8 @@ class NewKeysAvailable:
 
 
 @dataclass
-class LossDetected:
-    packet_numbers: list[int]
-    level: EncryptionLevel
-
-
-@dataclass
 class Timeout:
     timer_id: str
 
 
-Event = PacketReceived | PacketSent | NewKeysAvailable | LossDetected | Timeout
+Event = PacketReceived | PacketSent | NewKeysAvailable | Timeout

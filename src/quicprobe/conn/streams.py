@@ -65,7 +65,6 @@ class StreamRecv:
 class StreamSend:
     offset: int = 0
     limit: int = 0  # peer-advertised per-stream cap
-    fin_sent: bool = False
 
 
 @dataclass
@@ -73,4 +72,3 @@ class StreamState:
     stream_id: int
     send: StreamSend = field(default_factory=StreamSend)
     recv: StreamRecv = field(default_factory=StreamRecv)
-    reset: bool = False

@@ -9,10 +9,9 @@ from .description import (
     FieldSpec,
     ProtocolDescription,
     load_description,
-    load_description_file,
 )
 from .dissect import DissectedNode, coverage_ok, dissect
-from .render import render_html, render_text
+from .render import render_text
 
 
 @lru_cache(maxsize=None)
@@ -31,8 +30,6 @@ __all__ = [
     "coverage_ok",
     "dissect",
     "load_description",
-    "load_description_file",
     "quic_v1_description",
-    "render_html",
     "render_text",
 ]

@@ -166,11 +166,6 @@ def load_description(text: str) -> ProtocolDescription:
     return desc
 
 
-def load_description_file(path) -> ProtocolDescription:
-    with open(path) as fh:
-        return load_description(fh.read())
-
-
 def _iter_referenced_structures(spec: FieldSpec):
     if spec.kind == "conditional":
         yield from spec.cases.values()

@@ -1,8 +1,6 @@
-"""Text and HTML rendering of dissection trees for bug reports."""
+"""Text rendering of dissection trees for bug reports."""
 
 from __future__ import annotations
-
-import html
 
 from .dissect import DissectedNode
 
@@ -27,26 +25,3 @@ def render_text(node: DissectedNode, indent: int = 0) -> str:
     for child in node.children:
         lines.append(render_text(child, indent + 1))
     return "\n".join(lines)
-
-
-def render_html(node: DissectedNode) -> str:
-    """Self-contained fragment (inline styles only) for trace pages."""
-    parts = ["<ul style='font-family:monospace;list-style:none;padding-left:1em'>"]
-    _render_html_node(node, parts)
-    parts.append("</ul>")
-    return "".join(parts)
-
-
-def _render_html_node(node: DissectedNode, parts: list[str]) -> None:
-    style = "color:#b00" if node.error else ""
-    value = html.escape(_format_value(node))
-    parts.append(
-        f"<li style='{style}'><span style='color:#888'>[{node.start}:{node.end}]</span> "
-        f"<b>{html.escape(node.name)}</b> {value}"
-    )
-    if node.children:
-        parts.append("<ul style='list-style:none;padding-left:1em'>")
-        for child in node.children:
-            _render_html_node(child, parts)
-        parts.append("</ul>")
-    parts.append("</li>")

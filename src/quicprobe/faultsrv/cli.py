@@ -6,6 +6,7 @@ import argparse
 import sys
 import time
 
+from ..protection import DEFAULT_PROVIDER_SEED
 from .faults import FAULT_BEHAVIOURS, FaultSpec
 from .server import ServerConfig, default_body, serve
 
@@ -20,7 +21,9 @@ def main(argv: list[str] | None = None) -> int:
         help="misbehaviour to inject (default: none, fully conformant)",
     )
     parser.add_argument("--body-size", type=int, default=160, dest="body_size")
-    parser.add_argument("--seed", type=int, default=7, help="scripted-handshake seed")
+    parser.add_argument(
+        "--seed", type=int, default=DEFAULT_PROVIDER_SEED, help="scripted-handshake seed"
+    )
     parser.add_argument("--list-faults", action="store_true", help="describe faults and exit")
     args = parser.parse_args(argv)
 

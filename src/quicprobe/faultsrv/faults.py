@@ -16,6 +16,10 @@ from ..scenarios import codes
 
 FAULT_NONE = "none"
 
+# observed magnitudes: ~20 kB streamed before validation, 25 blocked frames
+PRE_VALIDATION_BYTES = 20_000
+BLOCKED_FRAME_COUNT = 25
+
 # fault -> how the server deviates (implementation lives in server.py)
 FAULT_BEHAVIOURS: dict[str, str] = {
     "none": "fully conformant for the scenario surface",
@@ -75,9 +79,6 @@ class FaultSpec:
     """At most one fault is active per server instance."""
 
     name: str = FAULT_NONE
-    # observed magnitudes: ~20 kB streamed pre-validation, 25 blocked frames
-    pre_validation_bytes: int = 20_000
-    blocked_frame_count: int = 25
 
     def __post_init__(self):
         if self.name not in FAULT_NAMES:

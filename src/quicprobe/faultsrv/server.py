@@ -30,7 +30,7 @@ from ..protection import (
     retry_integrity_tag,
     unprotect,
 )
-from ..protection.provider import NullHandshakeProvider
+from ..protection.provider import DEFAULT_PROVIDER_SEED, NullHandshakeProvider
 from ..wire import (
     QUIC_V1,
     AckFrame,
@@ -64,7 +64,7 @@ from ..wire.transport_params import (
 )
 from ..conn.agents import build_ack
 from ..conn.streams import StreamRecv
-from .faults import FaultSpec
+from .faults import BLOCKED_FRAME_COUNT, PRE_VALIDATION_BYTES, FaultSpec
 
 SERVER_PN_LENGTH = 2
 RESPONSE_CHUNK = 900
@@ -99,7 +99,7 @@ def default_transport_parameters() -> TransportParameters:
 class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 picks an ephemeral port
-    seed: int = 7
+    seed: int = DEFAULT_PROVIDER_SEED
     resources: dict[str, bytes] = field(default_factory=lambda: {"/index.html": default_body()})
     transport_parameters: TransportParameters | None = None
     fault: FaultSpec = field(default_factory=FaultSpec)
@@ -265,7 +265,7 @@ class _ServerConn:
             self.peer_tp = lenient_decode_tp(self.provider.peer_tp_raw)
             self.conn_limit = self.peer_tp.initial_max_data or (1 << 30)
             if self.fault.active("no_amplification_limit"):
-                remaining = self.fault.pre_validation_bytes
+                remaining = PRE_VALIDATION_BYTES
                 while remaining > 0:
                     size = min(1200, remaining)
                     self.pending.append([EncryptionLevel.HANDSHAKE, [PaddingFrame(size)], b""])
@@ -343,9 +343,7 @@ class _ServerConn:
             and limit not in stream.blocked_at
         ):
             stream.blocked_at.add(limit)
-            count = (
-                self.fault.blocked_frame_count if self.fault.active("stream_blocked_spam") else 1
-            )
+            count = BLOCKED_FRAME_COUNT if self.fault.active("stream_blocked_spam") else 1
             blocked = [
                 StreamDataBlockedFrame(stream_id=stream.stream_id, limit=limit)
                 for _ in range(count)

@@ -26,6 +26,10 @@ MSG_FINISHED = 20
 
 _CH_MAGIC = b"NULLTLS1"
 
+# the seed of the scripted handshake; the client and the server it probes
+# must be given the same one to derive the same keys
+DEFAULT_PROVIDER_SEED = 7
+
 
 class ProviderError(Exception):
     """The scripted transcript was violated."""
@@ -62,10 +66,6 @@ def _frame_message(msg_type: int, body: bytes) -> bytes:
 
 def _derive(seed: bytes, tag: str, length: int = 32) -> bytes:
     return hashlib.sha256(b"nullhs:" + tag.encode() + b":" + seed).digest()[:length]
-
-
-def ticket_for_seed(seed: int) -> bytes:
-    return _derive(struct.pack(">Q", seed), "ticket", 16)
 
 
 class NullHandshakeProvider(HandshakeProvider):

@@ -6,12 +6,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..conn import PrerequisiteError
+from ..protection import DEFAULT_PROVIDER_SEED
 from ..traces import Trace, TraceBuilder
 from . import codes
-from .base import Scenario, ScenarioContext, default_client_tp
+from .base import Scenario, ScenarioContext, UnmetPrerequisite, default_client_tp
 from .core import ALL_SCENARIOS
 
 _M64 = (1 << 64) - 1
+
+# how long a scenario waits for a peer's first answer: the default of
+# ``quicprobe run --timeout-ms``
+DEFAULT_TIMEOUT_MS = 10_000
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -39,8 +44,8 @@ class SuitePlan:
     targets: list[dict]  # {"name", "host", "port"}
     scenarios: list[str] = field(default_factory=lambda: sorted(ALL_SCENARIOS))
     seed: int = 0
-    timeout_ms: int = 10_000
-    provider_seed: int = 7
+    timeout_ms: int = DEFAULT_TIMEOUT_MS
+    provider_seed: int = DEFAULT_PROVIDER_SEED
     parallel: int = 1
 
     def __post_init__(self):
@@ -52,8 +57,8 @@ class SuitePlan:
 def run_scenario(
     name: str,
     target: dict,
-    provider_seed: int = 7,
-    timeout_ms: int = 10_000,
+    provider_seed: int = DEFAULT_PROVIDER_SEED,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> Trace:
     """Execute one scenario against one target and finalize its trace."""
     scenario = ALL_SCENARIOS[name]()
@@ -66,6 +71,8 @@ def run_scenario(
     )
     try:
         code, results = scenario.run(ctx)
+    except UnmetPrerequisite as exc:
+        code, results = exc.code, exc.results
     except PrerequisiteError as exc:
         code, results = codes.PREREQ_UNRESOLVED, {"error": str(exc)}
     except Exception as exc:  # a scenario bug must not abort the suite
@@ -100,6 +107,7 @@ def run_suite(plan: SuitePlan) -> list[Trace]:
 
 __all__ = [
     "ALL_SCENARIOS",
+    "DEFAULT_TIMEOUT_MS",
     "Scenario",
     "ScenarioContext",
     "SuitePlan",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..conn import Connection, HandshakeStage
+from ..conn import Connection, HandshakeStage, perform_handshake
 from ..protection import NullHandshakeProvider
 from ..traces import TraceBuilder
 from ..wire import (
@@ -37,14 +37,40 @@ def default_client_tp(overrides: dict[int, int] | None = None) -> TransportParam
     return tp
 
 
+# the code of a failed handshake where the handshake is what a scenario tests
+HANDSHAKE_FAILURE_CODES = {
+    HandshakeStage.NO_RESPONSE: codes.PREREQ_NO_RESPONSE,
+    HandshakeStage.VERSION_MISMATCH: codes.HS_VERSION_MISMATCH,
+    HandshakeStage.INCOMPLETE: codes.HS_STALLED,
+}
+
+# the code of a failed handshake that a scenario only needs as a prerequisite
+PREREQUISITE_CODES = {
+    HandshakeStage.NO_RESPONSE: codes.PREREQ_NO_RESPONSE,
+    HandshakeStage.VERSION_MISMATCH: codes.PREREQ_VERSION_MISMATCH,
+    HandshakeStage.INCOMPLETE: codes.PREREQ_HANDSHAKE_STALLED,
+}
+
+
+class UnmetPrerequisite(Exception):
+    """A scenario's prerequisite handshake did not finish: the scenario
+    ends with the 2xx code of the stage it was stuck at and the results
+    it had gathered so far."""
+
+    def __init__(self, stage: HandshakeStage, results: dict | None = None):
+        super().__init__(stage.value)
+        self.code = PREREQUISITE_CODES[stage]
+        self.results = results if results is not None else {}
+
+
 @dataclass
 class ScenarioContext:
     """Everything one scenario execution may touch."""
 
     target: dict  # name, host, port
     trace: TraceBuilder
-    provider_seed: int = 7
-    timeout_s: float = 10.0
+    provider_seed: int
+    timeout_s: float
     _conns: list[Connection] = field(default_factory=list)
 
     def connect(
@@ -74,12 +100,24 @@ class ScenarioContext:
         conn.start()
         return conn
 
+    def require_handshake(
+        self, conn: Connection, results: dict | None = None, timeout_s: float | None = None
+    ) -> None:
+        """Complete the handshake a scenario needs before its own checks,
+        within ``timeout_s`` (default: the scenario timeout), or raise
+        UnmetPrerequisite carrying ``results``."""
+        stage = perform_handshake(conn, self.timeout_s if timeout_s is None else timeout_s)
+        if stage is not None:
+            raise UnmetPrerequisite(stage, results)
+
     def teardown(self) -> None:
+        """Close and release every connection. The trace is still open, so
+        a failed close is recorded there; teardown goes on regardless."""
         for conn in self._conns:
             try:
                 conn.close()
-            except Exception:
-                pass
+            except Exception as exc:  # a close must not keep the rest open
+                self.trace.note("teardown_error", repr(exc))
             conn.stop()
         self._conns.clear()
 
@@ -93,28 +131,6 @@ class Scenario:
 
     def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
         raise NotImplementedError
-
-
-# the code of a failed handshake where the handshake is what a scenario tests
-HANDSHAKE_FAILURE_CODES = {
-    HandshakeStage.NO_RESPONSE: codes.PREREQ_NO_RESPONSE,
-    HandshakeStage.VERSION_MISMATCH: codes.HS_VERSION_MISMATCH,
-    HandshakeStage.INCOMPLETE: codes.HS_STALLED,
-    HandshakeStage.KEYS_UNAVAILABLE: codes.HS_ONE_RTT_KEYS_UNUSABLE,
-}
-
-# the code of a failed handshake that a scenario only needs as a prerequisite
-PREREQUISITE_CODES = {
-    HandshakeStage.NO_RESPONSE: codes.PREREQ_NO_RESPONSE,
-    HandshakeStage.VERSION_MISMATCH: codes.PREREQ_VERSION_MISMATCH,
-    HandshakeStage.INCOMPLETE: codes.PREREQ_HANDSHAKE_STALLED,
-    HandshakeStage.KEYS_UNAVAILABLE: codes.PREREQ_HANDSHAKE_KEYS,
-}
-
-
-def prerequisite_code(stage: HandshakeStage) -> int:
-    """Map a failed prerequisite handshake onto the 200-255 band."""
-    return PREREQUISITE_CODES[stage]
 
 
 def stream_frames_from_trace(

@@ -16,10 +16,37 @@ from .base import (
     HANDSHAKE_FAILURE_CODES,
     Scenario,
     ScenarioContext,
+    UnmetPrerequisite,
     default_client_tp,
-    prerequisite_code,
     stream_frames_from_trace,
 )
+
+# Every window a scenario waits, in seconds. ``ctx.timeout_s`` bounds the
+# waits for a peer that may be far away or down. The caps bound the waits
+# after a completed handshake, when the peer has shown that it answers;
+# each applies only where it is shorter than the timeout. A settle waits
+# its whole window, however much arrives, because that is where a
+# violating peer would keep sending; a conformant peer pays for every
+# settle in full, so they are kept short.
+#
+# address_validation splits its timeout: this share to reach the held
+# finish, the same again for the handshake after its release
+VALIDATION_PHASE_SHARE = 0.5
+# address_validation: an unvalidated server's excess follows its first
+# flight unprompted, as the client sends nothing in the meantime
+VALIDATION_SETTLE_S = 0.5
+# flow_control: a server past a stream limit sends the excess straight
+# after its burst; each of the two bursts is watched this long
+BURST_SETTLE_S = 0.3
+# stream_opening_reordering: a close or a malformed ACK that follows the
+# first answer to the reordered opening within a round trip
+REORDER_SETTLE_S = 0.2
+# answers due one round trip after the handshake: the 1-RTT probe's ACK
+# and the resumption ticket
+REPLY_CAP_S = 2.0
+# a response to a request, which may take the server longer than a round
+# trip: a flow-control burst, the reordered request, the early request
+RESPONSE_CAP_S = 3.0
 
 # a reserved version of the ?a?a?a?a pattern: servers must negotiate, never speak it
 RESERVED_VERSION = 0x1A2A3A4A
@@ -38,7 +65,6 @@ class VersionNegotiationScenario(Scenario):
             version=RESERVED_VERSION,
         )
         conn.queue_frame(EncryptionLevel.INITIAL, PingFrame())
-        conn.pump(0)
         conn.run_until(
             lambda: conn.version_negotiation is not None
             or conn.malformed_version_negotiation is not None,
@@ -67,20 +93,19 @@ class HandshakeScenario(Scenario):
 
     def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
         conn = ctx.connect(roster=FULL_ROSTER)
-        outcome = perform_handshake(conn, timeout_ms=int(ctx.timeout_s * 1000))
-        if not outcome.succeeded:
-            return HANDSHAKE_FAILURE_CODES[outcome.stage], {"stage": outcome.stage.value}
+        stage = perform_handshake(conn, ctx.timeout_s)
+        if stage is not None:
+            return HANDSHAKE_FAILURE_CODES[stage], {"stage": stage.value}
         # probe 1-RTT usability: elicit an acknowledgement under the new keys.
         # Wait for the probe's own ACK: other 1-RTT packets of the
         # post-handshake flight can arrive before it.
         app_space = conn.space(EncryptionLevel.ONE_RTT)
         probe_pn = app_space.next_pn
         conn.queue_frame(EncryptionLevel.ONE_RTT, PingFrame())
-        conn.pump(0)
         conn.run_until(
             lambda: conn.decrypt_failures.get(EncryptionLevel.ONE_RTT, 0) > 0
             or app_space.largest_acked >= probe_pn,
-            min(2.0, ctx.timeout_s),
+            min(REPLY_CAP_S, ctx.timeout_s),
         )
         if conn.decrypt_failures.get(EncryptionLevel.ONE_RTT, 0) > 0:
             return codes.HS_ONE_RTT_KEYS_UNUSABLE, {"stage": "one_rtt_probe"}
@@ -93,9 +118,7 @@ class TransportParametersScenario(Scenario):
 
     def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
         conn = ctx.connect(roster=FULL_ROSTER)
-        outcome = perform_handshake(conn, timeout_ms=int(ctx.timeout_s * 1000))
-        if not outcome.succeeded:
-            return prerequisite_code(outcome.stage), {}
+        ctx.require_handshake(conn)
         raw = conn.provider.peer_tp_raw or b""
         results = {
             "raw_hex": raw.hex(),
@@ -114,22 +137,18 @@ class AddressValidationScenario(Scenario):
     name = "address_validation"
     requires_handshake = True
 
-    SETTLE_S = 0.5
-
     def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
         conn = ctx.connect(
             roster={"parser", "tls", "retransmission", "bundler", "handshake"},
             hold_client_finished=True,
         )
-        conn.run_until(lambda: conn.client_finished_ready, ctx.timeout_s / 2)
-        if not conn.client_finished_ready:
-            return prerequisite_code(unfinished_stage(conn)), {}
-        conn.settle(self.SETTLE_S)
+        phase_s = VALIDATION_PHASE_SHARE * ctx.timeout_s
+        if not conn.run_until(lambda: conn.client_finished_ready, phase_s):
+            raise UnmetPrerequisite(unfinished_stage(conn))
+        conn.settle(VALIDATION_SETTLE_S)
         received, sent = conn.bytes_received, conn.bytes_sent
         conn.release_client_finished()
-        outcome = perform_handshake(conn, timeout_ms=int(ctx.timeout_s * 500))
-        if not outcome.succeeded:
-            return prerequisite_code(outcome.stage), {}
+        ctx.require_handshake(conn, timeout_s=phase_s)
         results = {
             "bytes_received_before_validation": received,
             "bytes_sent": sent,
@@ -153,19 +172,16 @@ class FlowControlScenario(Scenario):
                 {TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL: 80, TP_INITIAL_MAX_DATA: 1024}
             ),
         )
-        outcome = perform_handshake(conn, timeout_ms=int(ctx.timeout_s * 1000))
-        if not outcome.succeeded:
-            return prerequisite_code(outcome.stage), {}
+        ctx.require_handshake(conn)
         conn.send_stream(0, REQUEST, fin=True)
-        conn.pump(0)
         stream = conn.stream(0)
         conn.run_until(
             lambda: stream.recv.highest_offset >= 80
             or conn.empty_stream_frames_received
             or conn.blocked_frames_received > BLOCKED_LOOP_THRESHOLD,
-            min(3.0, ctx.timeout_s),
+            min(RESPONSE_CAP_S, ctx.timeout_s),
         )
-        conn.settle(0.3)  # a violating server would keep sending here
+        conn.settle(BURST_SETTLE_S)
         first_burst = stream.recv.highest_offset
 
         def results() -> dict:
@@ -185,14 +201,13 @@ class FlowControlScenario(Scenario):
             return codes.FC_BLOCKED_LOOP, results()
 
         conn.raise_stream_limit(0, 160)
-        conn.pump(0)
         conn.run_until(
             lambda: stream.recv.highest_offset > first_burst
             or conn.empty_stream_frames_received
             or conn.blocked_frames_received > BLOCKED_LOOP_THRESHOLD,
-            min(3.0, ctx.timeout_s),
+            min(RESPONSE_CAP_S, ctx.timeout_s),
         )
-        conn.settle(0.3)
+        conn.settle(BURST_SETTLE_S)
         if conn.empty_stream_frames_received:
             return codes.FC_EMPTY_STREAM_FRAME, results()
         if stream.recv.highest_offset > 160:
@@ -216,9 +231,7 @@ class StreamOpeningReorderingScenario(Scenario):
         conn = ctx.connect(
             roster={"parser", "tls", "ack", "flow_control", "handshake", "bundler", "closing"},
         )
-        outcome = perform_handshake(conn, timeout_ms=int(ctx.timeout_s * 1000))
-        if not outcome.succeeded:
-            return prerequisite_code(outcome.stage), {}
+        ctx.require_handshake(conn)
         base = conn.space(EncryptionLevel.ONE_RTT).next_pn
         conn.send_packet(
             EncryptionLevel.ONE_RTT,
@@ -235,9 +248,9 @@ class StreamOpeningReorderingScenario(Scenario):
         stream = conn.stream(0)
         conn.run_until(
             lambda: stream.recv.delivered or conn.closed or conn.flagged_acks_received,
-            min(3.0, ctx.timeout_s),
+            min(RESPONSE_CAP_S, ctx.timeout_s),
         )
-        conn.settle(0.2)
+        conn.settle(REORDER_SETTLE_S)
         results = {
             "response_bytes": len(stream.recv.delivered),
             "flagged_acks": conn.flagged_acks_received,
@@ -260,10 +273,11 @@ class ZeroRttScenario(Scenario):
     def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
         results = {"ticket_received": False, "zero_rtt_accepted": False, "request_answered": False}
         conn1 = ctx.connect(roster=FULL_ROSTER)
-        outcome = perform_handshake(conn1, timeout_ms=int(ctx.timeout_s * 1000))
-        if not outcome.succeeded:
-            return prerequisite_code(outcome.stage), results
-        conn1.run_until(lambda: conn1.provider.resumption_ticket() is not None, 2.0)
+        ctx.require_handshake(conn1, results)
+        conn1.run_until(
+            lambda: conn1.provider.resumption_ticket() is not None,
+            min(REPLY_CAP_S, ctx.timeout_s),
+        )
         ticket = conn1.provider.resumption_ticket()
         remembered_tp = None
         if conn1.provider.peer_tp_raw is not None:
@@ -280,15 +294,12 @@ class ZeroRttScenario(Scenario):
             assumed_peer_tp=remembered_tp,
         )
         conn2.send_stream(0, REQUEST, fin=True, level=EncryptionLevel.ZERO_RTT)
-        conn2.pump(0)
-        outcome = perform_handshake(conn2, timeout_ms=int(ctx.timeout_s * 1000))
-        if not outcome.succeeded:
-            return prerequisite_code(outcome.stage), results
+        ctx.require_handshake(conn2, results)
         results["zero_rtt_accepted"] = conn2.provider.early_data_accepted
         if not conn2.provider.early_data_accepted:
             return codes.ZR_REJECTED, results
         stream = conn2.stream(0)
-        conn2.run_until(lambda: stream.recv.finished, min(3.0, ctx.timeout_s))
+        conn2.run_until(lambda: stream.recv.finished, min(RESPONSE_CAP_S, ctx.timeout_s))
         results["request_answered"] = bool(stream.recv.delivered)
         if not stream.recv.delivered:
             return codes.ZR_UNANSWERED, results

@@ -9,7 +9,6 @@ from quicprobe.conn import (
     Connection,
     FULL_ROSTER,
     HandshakeStage,
-    LossDetected,
     NewKeysAvailable,
     PrerequisiteError,
     StreamRecv,
@@ -137,15 +136,15 @@ class TestDispatch:
         conn.stop()
 
     def test_loss_detected_requeues_frames_at_same_level(self, silent_peer):
-        conn = make_conn(silent_peer)
+        # no bundler: what the timer re-queues stays in the queue
+        conn = make_conn(silent_peer, roster={"retransmission"})
         crypto = CryptoFrame(offset=100, data=b"lost-data")
-        sent = conn.send_packet(EncryptionLevel.INITIAL, [crypto])
-        conn.dispatch(
-            LossDetected(
-                packet_numbers=[sent.header.packet_number], level=EncryptionLevel.INITIAL
-            )
+        sent = conn.send_packet(
+            EncryptionLevel.INITIAL, [AckFrame(largest_acked=0), crypto, PaddingFrame(20)]
         )
-        assert crypto in conn.queues[EncryptionLevel.INITIAL]
+        conn.run_until(lambda: bool(conn.queues[EncryptionLevel.INITIAL]), 2.0)
+        assert conn.queues[EncryptionLevel.INITIAL] == [crypto]
+        assert sent.header.packet_number not in conn.space(EncryptionLevel.INITIAL).sent
         conn.stop()
 
     def test_event_without_subscriber_is_no_effect(self, silent_peer):
@@ -340,10 +339,21 @@ def test_parser_notes_header_parse_error_in_trace(silent_peer):
 
 def test_perform_handshake_no_response(silent_peer):
     conn = make_conn(silent_peer)
-    outcome = perform_handshake(conn, timeout_ms=150)
-    assert not outcome.succeeded
-    assert outcome.stage is HandshakeStage.NO_RESPONSE
+    assert perform_handshake(conn, 0.15) is HandshakeStage.NO_RESPONSE
     conn.stop()
+
+
+def test_queued_frame_goes_out_before_the_wait(silent_peer):
+    trace = TraceBuilder("handshake", 1, {"name": "t"})
+    conn = make_conn(silent_peer, roster={"retransmission", "bundler"}, trace=trace)
+    conn.queue_frame(EncryptionLevel.INITIAL, PingFrame())
+    conn.run_until(lambda: False, 1.5)
+    sent_ms = [entry["timestamp_ms"] for entry in trace.packets if entry["direction"] == "tx"]
+    conn.stop()
+    # sent at once, and the timer that send armed brings the resend at
+    # 500 ms, not at the deadline
+    assert sent_ms[0] < 100, sent_ms
+    assert 450 <= sent_ms[1] < 900, sent_ms
 
 
 def test_settle_sees_a_datagram_that_arrives_late():

@@ -9,7 +9,6 @@ from quicprobe.dissector import (
     dissect,
     load_description,
     quic_v1_description,
-    render_html,
     render_text,
 )
 from quicprobe.protection import cleartext_packet_bytes
@@ -296,7 +295,6 @@ class TestRender:
     def test_any_tree_renders(self):
         tree = dissect(short_packet([PingFrame()]), quic_v1_description())
         assert "ping" in render_text(tree)
-        assert "<ul" in render_html(tree)
 
     def test_empty_packet_renders_header_only(self):
         tree = dissect(b"", quic_v1_description())

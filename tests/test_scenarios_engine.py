@@ -1,11 +1,20 @@
+import errno
 import socket
 
 import pytest
 
 from quicprobe.cli import parse_targets_file
 from quicprobe.faultsrv import FAULT_EXPECTATIONS
-from quicprobe.scenarios import ALL_SCENARIOS, SuitePlan, codes, run_suite, scenario_order
-from quicprobe.traces import outcome
+from quicprobe.scenarios import (
+    ALL_SCENARIOS,
+    ScenarioContext,
+    SuitePlan,
+    codes,
+    run_scenario,
+    run_suite,
+    scenario_order,
+)
+from quicprobe.traces import TraceBuilder, outcome
 
 
 # Independent re-implementation of the documented order sampler
@@ -102,8 +111,6 @@ class TestTargetsFile:
 def test_malformed_vn_reply_reports_code_1():
     import threading
 
-    from quicprobe.scenarios import run_scenario
-
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.bind(("127.0.0.1", 0))
     sock.settimeout(3)
@@ -185,3 +192,39 @@ class TestUnreachableTarget:
         traces = run_suite(plan)
         assert len(traces) == len(ALL_SCENARIOS)
         assert all(trace.error_code != 0 for trace in traces)
+
+    def test_refused_datagrams_are_recorded_in_the_trace(self):
+        # a port nobody listens on: loopback answers each datagram with
+        # ICMP port unreachable, which the next recv reports
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+        sock.close()
+        trace = run_scenario(
+            "handshake", {"name": "closed", "host": "127.0.0.1", "port": port}, timeout_ms=300
+        )
+        assert trace.error_code == codes.PREREQ_NO_RESPONSE
+        errors = [note["detail"] for note in trace.notes if note["kind"] == "socket_error"]
+        assert errors and errors[0]["errno"] == errno.ECONNREFUSED, trace.notes
+
+
+def test_teardown_records_a_failed_close_and_still_stops():
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    target = {"name": "silent", "host": "127.0.0.1", "port": sock.getsockname()[1]}
+    trace = TraceBuilder("handshake", 1, target)
+    ctx = ScenarioContext(target=target, trace=trace, provider_seed=7, timeout_s=1.0)
+    try:
+        conn = ctx.connect(roster={"parser", "bundler"})
+
+        def failing_close():
+            raise OSError("close failed")
+
+        conn.close = failing_close
+        ctx.teardown()
+    finally:
+        sock.close()
+    assert conn.sock is None
+    assert [note["detail"] for note in trace.notes if note["kind"] == "teardown_error"] == [
+        "OSError('close failed')"
+    ]
