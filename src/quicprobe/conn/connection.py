@@ -152,6 +152,7 @@ class Connection:
         # observations scenarios read back
         self.bytes_received = 0
         self.bytes_sent = 0
+        self.port_refused = False  # the peer's host answered port unreachable
         self.decrypt_failures: dict[EncryptionLevel, int] = {}
         self.version_negotiation: PacketHeader | None = None
         self.malformed_version_negotiation: str | None = None
@@ -254,6 +255,8 @@ class Connection:
                     break
                 except OSError as exc:
                     # e.g. the ICMP port-unreachable answer to an earlier send
+                    if isinstance(exc, ConnectionRefusedError):
+                        self.port_refused = True
                     if self.trace:
                         self.trace.note(
                             "socket_error", {"errno": exc.errno, "error": exc.strerror}
@@ -279,13 +282,15 @@ class Connection:
     def run_until(self, predicate, timeout: float) -> bool:
         """Pump until ``predicate()`` holds or ``timeout`` seconds pass.
         Connection state changes only when a datagram arrives or a timer
-        fires, so each wait lasts until one of those or the deadline."""
+        fires, so each wait lasts until one of those or the deadline. A
+        port that refused our datagrams and never answered ends the wait:
+        nothing listens there to answer later."""
         deadline = time.monotonic() + timeout
         while True:
             if predicate():
                 return True
             now = time.monotonic()
-            if now >= deadline:
+            if now >= deadline or (self.port_refused and self.bytes_received == 0):
                 return bool(predicate())
             self.pump(deadline - now)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+import threading
 
 from ..protection import DEFAULT_PROVIDER_SEED
 from .faults import FAULT_BEHAVIOURS, FaultSpec
@@ -43,8 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     server = serve(config)
     print(f"faultsrv listening on {server.host}:{server.port} fault={args.fault} seed={args.seed}")
     try:
-        while True:
-            time.sleep(0.5)
+        threading.Event().wait()  # until Ctrl-C
     except KeyboardInterrupt:
         pass
     finally:

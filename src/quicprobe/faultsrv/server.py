@@ -451,7 +451,8 @@ def _initial_token(data: bytes, dcid: bytes, scid: bytes) -> bytes:
 
 
 class FaultServer:
-    """Runs the responder in a background thread; stop() interrupts it."""
+    """Runs the responder in a background thread that sleeps until a
+    datagram arrives or stop() wakes it."""
 
     def __init__(self, config: ServerConfig):
         self.config = config
@@ -472,7 +473,8 @@ class FaultServer:
         self.sent_log: list[dict] = []
         self.errors: list[str] = []  # handler exceptions, one repr each
         self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
+        # (read end, write end): one byte written to it ends the read loop
+        self._wake: tuple[socket.socket, socket.socket] | None = None
         self._lock = threading.Lock()
 
     @property
@@ -497,19 +499,20 @@ class FaultServer:
             self.sock = None
             raise
         self.sock.setblocking(False)
-        self._stop.clear()
+        self._wake = socket.socketpair()
         self._thread = threading.Thread(target=self._run, name="faultsrv", daemon=True)
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2)
-            self._thread = None
-        if self.sock is not None:
-            self.sock.close()
-            self.sock = None
+        if self._wake is None:
+            return
+        self._wake[1].send(b"\x00")
+        self._thread.join(timeout=2)
+        self._thread = None
+        for sock in (self.sock, *self._wake):
+            sock.close()
+        self.sock = self._wake = None
 
     def __enter__(self) -> "FaultServer":
         return self
@@ -531,10 +534,11 @@ class FaultServer:
             )
 
     def _run(self) -> None:
-        while not self._stop.is_set():
-            readable, _, _ = select.select([self.sock], [], [], 0.05)
-            if not readable:
-                continue
+        wake = self._wake[0]
+        while True:
+            readable, _, _ = select.select([self.sock, wake], [], [])
+            if wake in readable:
+                return
             while True:
                 try:
                     data, addr = self.sock.recvfrom(65535)

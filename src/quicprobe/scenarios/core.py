@@ -246,11 +246,11 @@ class StreamOpeningReorderingScenario(Scenario):
             retransmittable=False,
         )
         stream = conn.stream(0)
-        conn.run_until(
+        if conn.run_until(
             lambda: stream.recv.delivered or conn.closed or conn.flagged_acks_received,
             min(RESPONSE_CAP_S, ctx.timeout_s),
-        )
-        conn.settle(REORDER_SETTLE_S)
+        ):
+            conn.settle(REORDER_SETTLE_S)
         results = {
             "response_bytes": len(stream.recv.delivered),
             "flagged_acks": conn.flagged_acks_received,

@@ -1,10 +1,14 @@
 """Loopback integration: the suite against its own reference server."""
 
+import select
 import sys
+import threading
 import time
+import types
 
 import pytest
 
+from quicprobe.conn import Connection
 from quicprobe.dissector import coverage_ok, dissect, quic_v1_description
 from quicprobe.faultsrv import FAULT_EXPECTATIONS, FaultSpec, ServerConfig, default_body, serve
 from quicprobe.faultsrv import server as server_module
@@ -16,6 +20,7 @@ from quicprobe.scenarios import (
     run_suite,
     scenario_order,
 )
+from quicprobe.scenarios.core import REORDER_SETTLE_S
 from quicprobe.traces import read_corpus, write_trace
 from quicprobe.wire import (
     AckFrame,
@@ -136,6 +141,46 @@ def test_stop_interrupts_blocked_read():
     server.stop()
     assert time.monotonic() - t0 < 1.0
     assert server.sock is None
+
+
+def test_idle_server_sleeps_until_stopped(monkeypatch):
+    calls = []
+
+    def counting_select(*args):
+        calls.append(args)
+        return select.select(*args)
+
+    monkeypatch.setattr(server_module, "select", types.SimpleNamespace(select=counting_select))
+    before = set(threading.enumerate())
+    server = serve(ServerConfig())
+    (thread,) = set(threading.enumerate()) - before
+    time.sleep(0.3)
+    server.stop()
+    assert len(calls) <= 1, len(calls)
+    assert not thread.is_alive()
+    assert server.sock is None
+
+
+def test_reordering_settles_only_after_an_answer(monkeypatch, compliant_server):
+    settles = []
+    settle = Connection.settle
+
+    def recording_settle(conn, seconds):
+        settles.append(seconds)
+        settle(conn, seconds)
+
+    monkeypatch.setattr(Connection, "settle", recording_settle)
+    silent = serve(ServerConfig(fault=FaultSpec(name="reorder_livelock")))
+    try:
+        trace = run_scenario("stream_opening_reordering", target_of(silent), timeout_ms=300)
+    finally:
+        silent.stop()
+    assert silent.errors == []
+    assert trace.error_code == codes.SOR_NO_RESPONSE
+    assert settles == []
+    trace = run_scenario("stream_opening_reordering", target_of(compliant_server))
+    assert trace.error_code == codes.SUCCESS
+    assert settles == [REORDER_SETTLE_S]
 
 
 def test_handler_error_is_recorded_and_server_keeps_serving(monkeypatch):

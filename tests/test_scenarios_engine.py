@@ -1,5 +1,6 @@
 import errno
 import socket
+import time
 
 import pytest
 
@@ -193,19 +194,36 @@ class TestUnreachableTarget:
         assert len(traces) == len(ALL_SCENARIOS)
         assert all(trace.error_code != 0 for trace in traces)
 
-    def test_refused_datagrams_are_recorded_in_the_trace(self):
+    @staticmethod
+    def closed_port_target() -> dict:
         # a port nobody listens on: loopback answers each datagram with
         # ICMP port unreachable, which the next recv reports
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
         sock.close()
-        trace = run_scenario(
-            "handshake", {"name": "closed", "host": "127.0.0.1", "port": port}, timeout_ms=300
-        )
+        return {"name": "closed", "host": "127.0.0.1", "port": port}
+
+    def test_refused_datagrams_are_recorded_in_the_trace(self):
+        trace = run_scenario("handshake", self.closed_port_target(), timeout_ms=300)
         assert trace.error_code == codes.PREREQ_NO_RESPONSE
         errors = [note["detail"] for note in trace.notes if note["kind"] == "socket_error"]
         assert errors and errors[0]["errno"] == errno.ECONNREFUSED, trace.notes
+
+    def test_a_refused_port_ends_the_wait(self):
+        plan = SuitePlan(targets=[self.closed_port_target()], seed=1, timeout_ms=1200)
+        t0 = time.monotonic()
+        traces = run_suite(plan)
+        elapsed = time.monotonic() - t0
+        assert elapsed < 0.6, elapsed
+        assert {t.scenario: t.error_code for t in traces} == {
+            name: codes.PREREQ_VN_NO_RESPONSE
+            if name == "version_negotiation"
+            else codes.PREREQ_NO_RESPONSE
+            for name in ALL_SCENARIOS
+        }
+        for trace in traces:
+            assert any(note["kind"] == "socket_error" for note in trace.notes), trace.scenario
 
 
 def test_teardown_records_a_failed_close_and_still_stops():
