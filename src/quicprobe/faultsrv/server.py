@@ -471,7 +471,7 @@ class FaultServer:
         # takes the same SCID from the seed (RFC 9000 section 5.2 matching)
         self.conns: dict[tuple, _ServerConn] = {}
         self.sent_log: list[dict] = []
-        self.errors: list[str] = []  # handler exceptions, one repr each
+        self.errors: list[str] = []  # handler exceptions and send errors, one repr each
         self._thread: threading.Thread | None = None
         # (read end, write end): one byte written to it ends the read loop
         self._wake: tuple[socket.socket, socket.socket] | None = None
@@ -524,8 +524,8 @@ class FaultServer:
         if self.sock is not None:
             try:
                 self.sock.sendto(datagram, addr)
-            except OSError:
-                pass
+            except OSError as exc:
+                self.errors.append(repr(exc))
 
     def log_sent(self, level: EncryptionLevel, cleartext: bytes, corrupted: bool) -> None:
         with self._lock:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -222,21 +223,35 @@ class RunCorpus:
 
 
 def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
-    """Read every trace below ``root``. Malformed files are skipped and
-    reported in the returned warning list, and so are duplicates of a key
-    already read, in path order."""
+    """Read every ``*.json`` file below ``root`` in path order, which
+    compares paths component by component as ``Path`` does. Malformed or
+    unreadable files, directories that cannot be listed, and duplicates of
+    a key already read are skipped and reported in the returned warning
+    list."""
     corpus = RunCorpus()
     warnings: list[str] = []
     root = Path(root)
-    skip = len(str(root / "x")) - 1  # the root's share of each path found below it
-    for path in sorted(root.glob("**/*.json")):
+    prefix = str(root / "x")[:-1]  # the root's share of each path found below it
+    below = len(os.path.join(root, ""))  # the length of its share of each os.walk directory
+
+    def unlisted(exc: OSError) -> None:
+        warnings.append(f"{exc.filename}: {exc!r}")
+
+    found: list[str] = []  # paths relative to root
+    for dirpath, _, names in os.walk(root, onerror=unlisted):
+        base = os.path.join(dirpath[below:], "")
+        found.extend(base + name for name in names if name.endswith(".json"))
+    found.sort(key=lambda rel: rel.split(os.sep))
+    for rel in found:
+        path = prefix + rel
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            trace = Trace.from_json(doc)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.readall()
+            # decoded here, not by json.loads, which would also take a BOM or UTF-16
+            trace = Trace.from_json(json.loads(data.decode("utf-8")))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             warnings.append(f"{path}: {exc!r}")
             continue
-        if not corpus.add(trace, str(path)[skip:]):
+        if not corpus.add(trace, rel):
             warnings.append(f"{path}: duplicate trace for {trace.key}, keeping the first")
     return corpus, warnings

@@ -95,6 +95,20 @@ def test_grid_links_follow_the_files_read(tmp_path):
     assert all((out / href).is_file() for href in hrefs)
 
 
+def test_report_skips_unreadable_entries(tmp_path, capsys):
+    trace = build_synthetic_corpus()[0]
+    day = tmp_path / "corpus" / "2018-01-01"
+    (day / "odd.json").mkdir(parents=True)
+    (day / "odd.json" / "kept.json").write_text(json.dumps(trace.to_json()))
+    (day / "gone.json").symlink_to(tmp_path / "missing.json")
+    out = tmp_path / "report"
+    assert quicprobe_main(["report", "--corpus", str(tmp_path / "corpus"), "--out", str(out)]) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1 and "gone.json" in warnings[0]
+    grid = (out / f"grid_{trace.date}.html").read_text()
+    assert "href='../corpus/2018-01-01/odd.json/kept.json'" in grid
+
+
 def test_run_rejects_unknown_scenario(server, tmp_path):
     targets = tmp_path / "targets.txt"
     targets.write_text(f"local,127.0.0.1:{server.port}\n")

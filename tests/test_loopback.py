@@ -1,5 +1,7 @@
 """Loopback integration: the suite against its own reference server."""
 
+import errno
+import os
 import select
 import sys
 import threading
@@ -197,6 +199,19 @@ def test_handler_error_is_recorded_and_server_keeps_serving(monkeypatch):
         assert run_scenario("handshake", target_of(server)).error_code == 0
     finally:
         server.stop()
+
+
+def test_send_error_is_recorded_and_server_keeps_serving():
+    server = serve(ServerConfig())
+    try:
+        server.sendto(b"x" * 70_000, ("127.0.0.1", server.port))
+        assert server.errors == [repr(OSError(errno.EMSGSIZE, os.strerror(errno.EMSGSIZE)))]
+        plan = SuitePlan(targets=[target_of(server)], seed=13)
+        codes_by_scenario = {t.scenario: t.error_code for t in run_suite(plan)}
+        assert codes_by_scenario == dict.fromkeys(plan.scenarios, 0)
+    finally:
+        server.stop()
+    assert len(server.errors) == 1
 
 
 def _ipv6_available() -> bool:

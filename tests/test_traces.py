@@ -1,4 +1,7 @@
 import json
+import os
+
+import pytest
 
 from quicprobe.traces import (
     RunCorpus,
@@ -70,6 +73,47 @@ class TestPersistence:
         assert len(loaded.traces) == 1
         assert loaded.traces[0].error_code == 0
         assert len(warnings) == 1
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+    def test_file_not_in_plain_utf8_skipped_with_warning(self, tmp_path, encoding):
+        write_trace(make_trace(D1, "alpha", "handshake", 0), tmp_path)
+        odd = tmp_path / D1 / "beta_handshake.json"
+        doc = make_trace(D1, "beta", "handshake", 0).to_json()
+        odd.write_text(json.dumps(doc), encoding=encoding)
+        loaded, warnings = read_corpus(tmp_path)
+        assert [t.target_name for t in loaded.traces] == ["alpha"]
+        assert len(warnings) == 1 and warnings[0].startswith(f"{odd}: ")
+
+    def test_paths_are_read_in_component_order(self, tmp_path):
+        # a plain string sort would put a-b/y.json before a/z.json
+        for rel, code in (("a-b/y.json", 7), ("a/z.json", 5), ("a/b/w.json", 3)):
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(make_trace(D1, "alpha", "handshake", code).to_json()))
+        loaded, warnings = read_corpus(tmp_path)
+        assert [t.error_code for t in loaded.traces] == [3]
+        assert loaded.path(D1, "alpha", "handshake") == "a/b/w.json"
+        assert [w.split(": ", 1)[0] for w in warnings] == [
+            str(tmp_path / "a" / "z.json"),
+            str(tmp_path / "a-b" / "y.json"),
+        ]
+
+    def test_unlistable_directory_is_a_warning(self, tmp_path, monkeypatch):
+        write_trace(make_trace(D1, "alpha", "handshake", 0), tmp_path)
+        write_trace(make_trace(D2, "alpha", "handshake", 0), tmp_path)
+        # chmod does not lock a directory against root, so refuse its listing here
+        locked = str(tmp_path / D2)
+        scandir = os.scandir
+
+        def refusing(path):
+            if os.fspath(path) == locked:
+                raise PermissionError(13, "Permission denied", path)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refusing)
+        loaded, warnings = read_corpus(tmp_path)
+        assert [t.date for t in loaded.traces] == [D1]
+        assert len(warnings) == 1 and warnings[0].startswith(f"{locked}: PermissionError")
 
     def test_sanitized_target_names_do_not_collide(self, tmp_path):
         paths = {
