@@ -36,9 +36,13 @@ def parse_targets_file(path: str) -> list[dict]:
         try:
             name, endpoint = line.split(",", 1)
             host, port = endpoint.rsplit(":", 1)
-            targets.append({"name": name.strip(), "host": host.strip(), "port": int(port)})
+            port = int(port)
         except ValueError:
             raise SystemExit(f"{path}:{lineno}: expected 'name,host:port', got {line!r}")
+        # the resolver would wrap a larger port, probing another one than the trace names
+        if not 1 <= port <= 65535:
+            raise SystemExit(f"{path}:{lineno}: port {port} is outside 1-65535")
+        targets.append({"name": name.strip(), "host": host.strip(), "port": port})
     if not targets:
         raise SystemExit(f"{path}: no targets")
     return targets

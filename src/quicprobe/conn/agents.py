@@ -76,12 +76,10 @@ class ParserAgent(Agent):
                 except ParseError as exc:
                     # a broken negotiation reply is evidence, not silence
                     conn.malformed_version_negotiation = str(exc)
-                    if conn.trace:
-                        conn.trace.note("malformed_version_negotiation", str(exc))
+                    conn.trace.note("malformed_version_negotiation", str(exc))
                     return
                 conn.version_negotiation = header
-                if conn.trace:
-                    conn.trace.log_packet("rx", "none", data, len(conn.scid))
+                conn.trace.log_packet("rx", "none", data, len(conn.scid))
                 return
             packet_type = (first & 0x30) >> 4
             if packet_type == 3:
@@ -104,8 +102,7 @@ class ParserAgent(Agent):
             conn.note_decrypt_failure(level, data)
             return
         except ParseError as exc:
-            if conn.trace:
-                conn.trace.note("header_parse_error", {"level": level.label, "error": str(exc)})
+            conn.trace.note("header_parse_error", {"level": level.label, "error": str(exc)})
             return
 
         if header.is_long and not conn._server_cid_seen:
@@ -116,8 +113,7 @@ class ParserAgent(Agent):
         try:
             frames = parse_frames(plaintext)
         except ParseError as exc:
-            if conn.trace:
-                conn.trace.note("frame_parse_error", {"level": level.label, "error": str(exc)})
+            conn.trace.note("frame_parse_error", {"level": level.label, "error": str(exc)})
             return
 
         for frame in frames:
@@ -128,10 +124,9 @@ class ParserAgent(Agent):
             elif isinstance(frame, StreamDataBlockedFrame):
                 conn.blocked_frames_received += 1
 
-        if conn.trace:
-            conn.trace.log_packet(
-                "rx", level.label, cleartext_packet_bytes(header, plaintext), len(conn.scid)
-            )
+        conn.trace.log_packet(
+            "rx", level.label, cleartext_packet_bytes(header, plaintext), len(conn.scid)
+        )
         conn.emit(PacketReceived(header=header, frames=frames, level=level))
 
     @staticmethod
@@ -140,8 +135,7 @@ class ParserAgent(Agent):
             header, _ = parse_header(data)
         except ParseError:
             return
-        if conn.trace:
-            conn.trace.log_packet("rx", "none", data, len(conn.scid))
+        conn.trace.log_packet("rx", "none", data, len(conn.scid))
         token, tag = header.token[:-AEAD_TAG_LEN], header.token[-AEAD_TAG_LEN:]
         # one Retry at most, none once the server has answered otherwise,
         # and only one whose tag proves it answers our first Initial
@@ -154,8 +148,7 @@ class ParserAgent(Agent):
         else:
             conn.follow_retry(header.scid, token)
             return
-        if conn.trace:
-            conn.trace.note("retry_discarded", reason)
+        conn.trace.note("retry_discarded", reason)
 
 
 class TlsAgent(Agent):
@@ -295,7 +288,8 @@ class HandshakeAgent(Agent):
 class RetransmissionAgent(Agent):
     """Timer-only loss recovery: anything ack-eliciting still unacked after
     the fixed timer is declared lost, and its data frames (everything but
-    ACK and PADDING) are queued again at its level."""
+    ACK and PADDING) are queued again at its level. The connection keeps
+    the timer's one deadline, ``retransmit_at``."""
 
     name = "retransmission"
     subscriptions = (PacketReceived, PacketSent, Timeout)
@@ -303,9 +297,8 @@ class RetransmissionAgent(Agent):
     def handle(self, conn, event) -> None:
         if isinstance(event, PacketSent):
             packet = conn.space(event.level).sent.get(event.header.packet_number)
-            if packet and packet.ack_eliciting and packet.retransmittable:
-                if "retrans" not in conn.timers:
-                    conn.arm_timer("retrans", RETRANSMISSION_TIMER_MS)
+            if packet and packet.ack_eliciting and conn.retransmit_at is None:
+                conn.retransmit_at = time.monotonic() + RETRANSMISSION_TIMER_MS / 1000
             return
         if isinstance(event, PacketReceived):
             space = conn.space(event.level)
@@ -317,22 +310,19 @@ class RetransmissionAgent(Agent):
                         del space.sent[pn]
                     space.largest_acked = max(space.largest_acked, high)
             return
-        if isinstance(event, Timeout) and event.timer_id == "retrans":
-            expired = time.monotonic() - RETRANSMISSION_TIMER_MS / 1000
+        if isinstance(event, Timeout):
+            now = time.monotonic()
+            expired = now - RETRANSMISSION_TIMER_MS / 1000
             for space in conn.spaces.values():
                 lost = [
-                    pn
-                    for pn, sp in space.sent.items()
-                    if sp.ack_eliciting and sp.retransmittable and sp.sent_at <= expired
+                    pn for pn, sp in space.sent.items() if sp.ack_eliciting and sp.sent_at <= expired
                 ]
                 conn.requeue(space, lost)
             # what was just declared lost re-arms the timer when it goes out again
             if any(
-                sp.ack_eliciting and sp.retransmittable
-                for space in conn.spaces.values()
-                for sp in space.sent.values()
+                sp.ack_eliciting for space in conn.spaces.values() for sp in space.sent.values()
             ):
-                conn.arm_timer("retrans", RETRANSMISSION_TIMER_MS)
+                conn.retransmit_at = now + RETRANSMISSION_TIMER_MS / 1000
 
 
 class BundlerAgent(Agent):
@@ -430,15 +420,21 @@ class ClosingAgent(Agent):
                 conn.closed = True
 
 
-def build_agents(conn) -> dict[str, Agent]:
-    agents = (
-        ParserAgent(),
-        TlsAgent(),
-        AckAgent(),
-        FlowControlAgent(),
-        HandshakeAgent(),
-        RetransmissionAgent(),
-        BundlerAgent(),
-        ClosingAgent(),
+AGENT_TYPES: dict[str, type[Agent]] = {
+    cls.name: cls
+    for cls in (
+        ParserAgent,
+        TlsAgent,
+        AckAgent,
+        FlowControlAgent,
+        HandshakeAgent,
+        RetransmissionAgent,
+        BundlerAgent,
+        ClosingAgent,
     )
-    return {agent.name: agent for agent in agents}
+}
+
+
+def build_agents() -> dict[str, Agent]:
+    """One agent of every type, by name."""
+    return {name: cls() for name, cls in AGENT_TYPES.items()}

@@ -10,6 +10,7 @@ import os
 import select
 import socket
 import time
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -76,7 +77,6 @@ class SentPacket:
     sent_at: float
     ack_eliciting: bool
     level: EncryptionLevel
-    retransmittable: bool = True
 
 
 @dataclass
@@ -96,8 +96,8 @@ class Connection:
         host: str,
         port: int,
         provider,
+        trace,
         roster: frozenset[str] | set[str] = FULL_ROSTER,
-        trace=None,
         version: int = QUIC_V1,
         assumed_peer_tp: TransportParameters | None = None,
         hold_client_finished: bool = False,
@@ -123,27 +123,25 @@ class Connection:
         self.keys: dict[tuple[EncryptionLevel, str], KeyMaterial] = {}
         self.queues: dict[EncryptionLevel, list[Frame]] = {level: [] for level in EncryptionLevel}
         self.streams: dict[int, StreamState] = {}
-        self.timers: dict[str, float] = {}
+        self.retransmit_at: float | None = None  # monotonic deadline of the one timer
 
         self._bus: list[Event] = []
-        self._agents: dict[str, object] = {}
+        self._agents: dict[str, object] = {}  # the roster's agents, in AGENT_ORDER
+        self._subscribers: dict[type, list] = {}  # event type -> its agents, in order
         self._held_crypto: list[tuple[EncryptionLevel, bytes]] = []
         self._crypto_offsets: dict[EncryptionLevel, int] = {}
 
         self.sock: socket.socket | None = None
-        self.started = False
         self.closed = False
         self.close_received: tuple[int, str] | None = None
 
         # connection-level flow control (what the peer lets us send)
         self.peer_tp: TransportParameters | None = None
-        if assumed_peer_tp is not None:
-            self.peer_tp = assumed_peer_tp
         self.peer_tp_error: str | None = None
         self.connection_send_limit = 0
         self.connection_bytes_sent = 0
         if assumed_peer_tp is not None:
-            self.connection_send_limit = assumed_peer_tp.initial_max_data or 0
+            self.apply_peer_tp(assumed_peer_tp)
 
         self.hold_client_finished = hold_client_finished
         self.handshake_complete = False
@@ -164,13 +162,18 @@ class Connection:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the socket and let enabled agents take their first actions."""
-        from .agents import build_agents
+        """Build the roster's agents, bind the socket and let the agents
+        take their first actions."""
+        from .agents import AGENT_TYPES
 
         unknown = self.roster - FULL_ROSTER
         if unknown:
             raise ValueError(f"unknown agents: {sorted(unknown)}")
-        self._agents = build_agents(self)
+        self._agents = {name: AGENT_TYPES[name]() for name in AGENT_ORDER if name in self.roster}
+        self._subscribers = {
+            event_type: [a for a in self._agents.values() if issubclass(event_type, a.subscriptions)]
+            for event_type in typing.get_args(Event)
+        }
         try:
             info = socket.getaddrinfo(self.host, self.port, type=socket.SOCK_DGRAM)
         except socket.gaierror as exc:
@@ -189,11 +192,8 @@ class Connection:
         self.keys[(EncryptionLevel.INITIAL, "client")] = client_keys
         self.keys[(EncryptionLevel.INITIAL, "server")] = server_keys
 
-        self.started = True
-        for name in AGENT_ORDER:
-            agent = self._agents.get(name)
-            if agent is not None and name in self.roster:
-                self._run_handler(name, lambda a=agent: a.start(self))
+        for agent in self._agents.values():
+            self._run_handler(agent.name, agent.start, self)
         self._flush()
 
     def stop(self) -> None:
@@ -207,26 +207,20 @@ class Connection:
         self._bus.append(event)
 
     def dispatch(self, event: Event) -> None:
-        """Run every enabled, subscribed agent on one event, in the fixed
-        order. A failing handler is isolated and recorded; dispatch
+        """Run every agent subscribed to the event's type on it, in the
+        fixed order. A failing handler is isolated and recorded; dispatch
         continues."""
-        for name in AGENT_ORDER:
-            if name not in self.roster:
-                continue
-            agent = self._agents.get(name)
-            if agent is None or not isinstance(event, agent.subscriptions):
-                continue
-            self._run_handler(name, lambda a=agent: a.handle(self, event))
+        for agent in self._subscribers[type(event)]:
+            self._run_handler(agent.name, agent.handle, self, event)
 
-    def _run_handler(self, name: str, thunk) -> None:
+    def _run_handler(self, name: str, fn, *args) -> None:
         try:
-            thunk()
+            fn(*args)
         except FlowControlAssertion:
             raise
         except Exception as exc:  # isolate the failing agent
             self.agent_errors.append((name, repr(exc)))
-            if self.trace:
-                self.trace.note("agent_error", {"agent": name, "error": repr(exc)})
+            self.trace.note("agent_error", {"agent": name, "error": repr(exc)})
 
     def _drain_bus(self) -> None:
         while self._bus:
@@ -237,15 +231,15 @@ class Connection:
 
     def pump(self, wait: float = 0.05) -> None:
         """Send what is queued, wait up to ``wait`` seconds for datagrams,
-        or less if a timer falls due sooner, then process events, timers
-        and the send path until quiescent."""
+        or less if the retransmission deadline falls sooner, then process
+        events, the deadline and the send path until quiescent."""
         if self.sock is None:
             return
-        # a timer armed by this send bounds the wait below
+        # a deadline set by this send bounds the wait below
         self._flush()
         self._drain_bus()
-        if self.timers:
-            wait = min(wait, min(self.timers.values()) - time.monotonic())
+        if self.retransmit_at is not None:
+            wait = min(wait, self.retransmit_at - time.monotonic())
         readable, _, _ = select.select([self.sock], [], [], max(wait, 0))
         if readable:
             while True:
@@ -257,34 +251,29 @@ class Connection:
                     # e.g. the ICMP port-unreachable answer to an earlier send
                     if isinstance(exc, ConnectionRefusedError):
                         self.port_refused = True
-                    if self.trace:
-                        self.trace.note(
-                            "socket_error", {"errno": exc.errno, "error": exc.strerror}
-                        )
+                    self.trace.note("socket_error", {"errno": exc.errno, "error": exc.strerror})
                     break
                 if not datagram:
                     break
                 self.bytes_received += len(datagram)
                 parser = self._agents.get("parser")
-                if parser is not None and "parser" in self.roster:
-                    self._run_handler(
-                        "parser", lambda p=parser, d=datagram: p.datagram(self, d)
-                    )
+                if parser is not None:
+                    self._run_handler("parser", parser.datagram, self, datagram)
                 # finish this datagram (e.g. install the keys it unlocked)
                 # before parsing the next one
                 self._drain_bus()
         self._drain_bus()
-        self._check_timers()
+        self._check_deadline()
         self._drain_bus()
         self._flush()
         self._drain_bus()
 
     def run_until(self, predicate, timeout: float) -> bool:
         """Pump until ``predicate()`` holds or ``timeout`` seconds pass.
-        Connection state changes only when a datagram arrives or a timer
-        fires, so each wait lasts until one of those or the deadline. A
-        port that refused our datagrams and never answered ends the wait:
-        nothing listens there to answer later."""
+        Connection state changes only when a datagram arrives or the
+        retransmission deadline passes, so each wait lasts until one of
+        those or ``timeout``. A port that refused our datagrams and never
+        answered ends the wait: nothing listens there to answer later."""
         deadline = time.monotonic() + timeout
         while True:
             if predicate():
@@ -299,15 +288,10 @@ class Connection:
         whenever: a window in which a violating peer would keep sending."""
         self.run_until(lambda: False, seconds)
 
-    def _check_timers(self) -> None:
-        now = time.monotonic()
-        for timer_id, deadline in list(self.timers.items()):
-            if now >= deadline:
-                del self.timers[timer_id]
-                self.emit(Timeout(timer_id=timer_id))
-
-    def arm_timer(self, timer_id: str, delay_ms: int) -> None:
-        self.timers[timer_id] = time.monotonic() + delay_ms / 1000
+    def _check_deadline(self) -> None:
+        if self.retransmit_at is not None and time.monotonic() >= self.retransmit_at:
+            self.retransmit_at = None
+            self.emit(Timeout())
 
     # -- keys -------------------------------------------------------------
 
@@ -428,7 +412,7 @@ class Connection:
         self._flush()
 
     def close(self, error_code: int = 0, reason: str = "") -> None:
-        if self.closed or not self.started or self.sock is None:
+        if self.closed or self.sock is None:
             return
         level = EncryptionLevel.ONE_RTT
         if self.send_keys(level) is None:
@@ -458,7 +442,6 @@ class Connection:
         level: EncryptionLevel,
         frames: list[Frame],
         packet_number: int | None = None,
-        retransmittable: bool = True,
     ) -> PacketSent:
         """Build, protect and transmit one packet immediately."""
         keys = self.send_keys(level)
@@ -492,12 +475,10 @@ class Connection:
             sent_at=time.monotonic(),
             ack_eliciting=is_ack_eliciting(frames),
             level=level,
-            retransmittable=retransmittable,
         )
-        if self.trace:
-            self.trace.log_packet(
-                "tx", level.label, cleartext_packet_bytes(header, plaintext), len(self.dcid)
-            )
+        self.trace.log_packet(
+            "tx", level.label, cleartext_packet_bytes(header, plaintext), len(self.dcid)
+        )
         event = PacketSent(header=header, frames=frames, level=level)
         self.emit(event)
         return event
@@ -510,8 +491,8 @@ class Connection:
 
     def _flush(self) -> None:
         bundler = self._agents.get("bundler")
-        if bundler is not None and "bundler" in self.roster:
-            self._run_handler("bundler", lambda: bundler.flush(self))
+        if bundler is not None:
+            self._run_handler("bundler", bundler.flush, self)
 
     # -- receive path ---------------------------------------------------------
 
@@ -522,8 +503,7 @@ class Connection:
 
     def note_decrypt_failure(self, level: EncryptionLevel, raw: bytes) -> None:
         self.decrypt_failures[level] = self.decrypt_failures.get(level, 0) + 1
-        if self.trace:
-            self.trace.log_undecryptable(level.label, raw)
+        self.trace.log_undecryptable(level.label, raw)
 
 
 def perform_handshake(conn: Connection, timeout_s: float) -> HandshakeStage | None:

@@ -33,7 +33,7 @@ class NewKeysAvailable:
 
 @dataclass
 class Timeout:
-    timer_id: str
+    """The retransmission deadline passed."""
 
 
 Event = PacketReceived | PacketSent | NewKeysAvailable | Timeout

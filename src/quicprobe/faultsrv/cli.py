@@ -33,6 +33,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     host, _, port = args.listen.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        parser.error(f"--listen port {port!r} is not a number in 0-65535")
     config = ServerConfig(
         host=host or "127.0.0.1",
         port=int(port),

@@ -92,8 +92,8 @@ class ScenarioContext:
             self.target["host"],
             self.target["port"],
             provider,
+            self.trace,
             roster=roster,
-            trace=self.trace,
             **conn_kwargs,
         )
         self._conns.append(conn)

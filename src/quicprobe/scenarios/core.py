@@ -237,13 +237,11 @@ class StreamOpeningReorderingScenario(Scenario):
             EncryptionLevel.ONE_RTT,
             [StreamFrame(stream_id=0, offset=len(REQUEST), data=b"", fin=True)],
             packet_number=base + 1,
-            retransmittable=False,
         )
         conn.send_packet(
             EncryptionLevel.ONE_RTT,
             [StreamFrame(stream_id=0, offset=0, data=REQUEST, fin=False)],
             packet_number=base,
-            retransmittable=False,
         )
         stream = conn.stream(0)
         if conn.run_until(

@@ -30,6 +30,9 @@ _KNOWN_FIELDS = {
     "notes",
 }
 
+# UTC milliseconds from 0001-01-01 to the end of 9999-12-31: what ``Trace.date`` can read
+_STARTED_AT_RANGE = range(-62_135_596_800_000, 253_402_300_800_000)
+
 
 def outcome(code: int) -> str:
     """The band of an error code: "success" (0), "failure" (1-199: the
@@ -86,7 +89,11 @@ class Trace:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Trace":
-        return cls(
+        """The trace a JSON document holds. A missing required field raises
+        KeyError; a field that the corpus index, the metrics or the grid
+        read and that has the wrong type raises ValueError, with a one-line
+        reason."""
+        trace = cls(
             scenario=doc["scenario"],
             scenario_version=doc.get("scenario_version", 1),
             target=doc.get("target", {}),
@@ -98,6 +105,21 @@ class Trace:
             notes=doc.get("notes", []),
             extra={k: v for k, v in doc.items() if k not in _KNOWN_FIELDS},
         )
+        # bool is a subclass of int, but JSON true is not a number
+        if type(trace.started_at) is not int or trace.started_at not in _STARTED_AT_RANGE:
+            raise ValueError("started_at is not an integer of UTC milliseconds in years 1-9999")
+        if not isinstance(trace.scenario, str):
+            raise ValueError("scenario is not a string")
+        if not isinstance(trace.target, dict) or not isinstance(trace.target_name, str):
+            raise ValueError("target is not an object with a string name")
+        if type(trace.error_code) is not int:
+            raise ValueError("error_code is not an integer")
+        if not isinstance(trace.results, dict):
+            raise ValueError("results is not an object")
+        versions = trace.results.get("versions", [])
+        if not isinstance(versions, list) or any(type(v) is not int for v in versions):
+            raise ValueError("results.versions is not a list of integers")
+        return trace
 
 
 class TraceBuilder:
@@ -234,11 +256,12 @@ def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
     prefix = str(root / "x")[:-1]  # the root's share of each path found below it
     below = len(os.path.join(root, ""))  # the length of its share of each os.walk directory
 
-    def unlisted(exc: OSError) -> None:
-        warnings.append(f"{exc.filename}: {exc!r}")
+    def warn(path, exc: Exception) -> None:
+        # str, not repr: the repr of a UnicodeDecodeError holds the whole input
+        warnings.append(f"{path}: {type(exc).__name__}: {exc}")
 
     found: list[str] = []  # paths relative to root
-    for dirpath, _, names in os.walk(root, onerror=unlisted):
+    for dirpath, _, names in os.walk(root, onerror=lambda exc: warn(exc.filename, exc)):
         base = os.path.join(dirpath[below:], "")
         found.extend(base + name for name in names if name.endswith(".json"))
     found.sort(key=lambda rel: rel.split(os.sep))
@@ -249,9 +272,8 @@ def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
                 data = fh.readall()
             # decoded here, not by json.loads, which would also take a BOM or UTF-16
             trace = Trace.from_json(json.loads(data.decode("utf-8")))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            warnings.append(f"{path}: {exc!r}")
-            continue
-        if not corpus.add(trace, rel):
-            warnings.append(f"{path}: duplicate trace for {trace.key}, keeping the first")
+            if not corpus.add(trace, rel):
+                warnings.append(f"{path}: duplicate trace for {trace.key}, keeping the first")
+        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            warn(path, exc)
     return corpus, warnings

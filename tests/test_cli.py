@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from quicprobe.cli import main as quicprobe_main
+from quicprobe.cli import main as quicprobe_main, parse_targets_file
 from quicprobe.faultsrv import ServerConfig, serve
+from quicprobe.faultsrv import cli as faultsrv_cli
 from quicprobe.faultsrv.cli import main as faultsrv_main
 from quicprobe.traces import write_trace
 
@@ -126,3 +127,71 @@ def test_faultsrv_list_faults(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "empty_stream_frames" in out and "reorder_livelock" in out
+
+
+@pytest.mark.parametrize("port", ["0", "70000", "-1"])
+def test_targets_file_rejects_out_of_range_ports(tmp_path, port):
+    targets = tmp_path / "targets.txt"
+    targets.write_text(f"ok,127.0.0.1:4433\nbad,127.0.0.1:{port}\n")
+    with pytest.raises(SystemExit, match=rf"targets\.txt:2: port {port} is outside 1-65535"):
+        parse_targets_file(str(targets))
+
+
+@pytest.mark.parametrize("listen", ["127.0.0.1:70000", "127.0.0.1:-1", "127.0.0.1:x"])
+def test_faultsrv_rejects_out_of_range_listen_port(capsys, monkeypatch, listen):
+    # a server that started would serve until interrupted
+    monkeypatch.setattr(faultsrv_cli, "serve", lambda config: pytest.fail(f"served {config}"))
+    with pytest.raises(SystemExit) as exc_info:
+        faultsrv_main(["--listen", listen])
+    assert exc_info.value.code == 2
+    assert "0-65535" in capsys.readouterr().err
+
+
+def report_warnings(tmp_path, capsys, name: str, content: bytes) -> list[str]:
+    """The warnings of a report over one good trace and one file ``name``."""
+    good = build_synthetic_corpus()[0]
+    write_trace(good, tmp_path / "corpus")
+    (tmp_path / "corpus" / good.date / name).write_bytes(content)
+    out = tmp_path / "report"
+    assert quicprobe_main(["report", "--corpus", str(tmp_path / "corpus"), "--out", str(out)]) == 0
+    return capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("started_at", "x"),
+        ("started_at", float("nan")),
+        ("started_at", 10**30),
+        ("started_at", True),
+        ("scenario", 5),
+        ("target", "a"),
+        ("target", {"name": 7}),
+        ("error_code", "zero"),
+        ("error_code", False),
+        ("results", []),
+        ("results", {"versions": 1}),
+        ("results", {"versions": ["0x1"]}),
+    ],
+)
+def test_report_skips_a_trace_with_a_wrongly_typed_field(tmp_path, capsys, field, value):
+    doc = build_synthetic_corpus()[1].to_json()
+    doc[field] = value
+    warnings = report_warnings(tmp_path, capsys, "bad.json", json.dumps(doc).encode())
+    assert len(warnings) == 1 and "bad.json: ValueError: " in warnings[0]
+    assert field in warnings[0]
+
+
+def test_report_warning_names_the_reason_not_the_bytes(tmp_path, capsys):
+    doc = build_synthetic_corpus()[1].to_json()
+    doc["packets"] = [{"direction": "tx", "cleartext_hex": "00" * 4000}]
+    content = json.dumps(doc).encode("utf-16")
+    assert len(content) > 8000
+    warnings = report_warnings(tmp_path, capsys, "wide.json", content)
+    assert len(warnings) == 1 and "UnicodeDecodeError" in warnings[0]
+    assert "position 0" in warnings[0] and len(warnings[0]) < 300
+
+
+def test_report_skips_a_too_deeply_nested_trace(tmp_path, capsys):
+    warnings = report_warnings(tmp_path, capsys, "deep.json", b"[" * 100_000)
+    assert len(warnings) == 1 and "deep.json: RecursionError" in warnings[0]

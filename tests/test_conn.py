@@ -51,12 +51,17 @@ def silent_peer():
     sock.close()
 
 
-def make_conn(silent_peer, roster=FULL_ROSTER, **kwargs):
+def new_trace():
+    return TraceBuilder("handshake", 1, {"name": "t"})
+
+
+def make_conn(silent_peer, roster=FULL_ROSTER, trace=None, **kwargs):
     tp = default_client_tp()
     provider = NullHandshakeProvider(
         seed=1, is_client=True, local_tp=encode_transport_parameters(tp)
     )
-    conn = Connection(silent_peer[0], silent_peer[1], provider, roster=roster, **kwargs)
+    trace = trace if trace is not None else new_trace()
+    conn = Connection(silent_peer[0], silent_peer[1], provider, trace, roster=roster, **kwargs)
     conn.start()
     return conn
 
@@ -98,13 +103,20 @@ class TestStart:
 
     def test_unresolvable_host_is_prerequisite_error(self):
         provider = NullHandshakeProvider(seed=1, is_client=True)
-        conn = Connection("nonexistent.invalid.", 443, provider)
+        conn = Connection("nonexistent.invalid.", 443, provider, new_trace())
         with pytest.raises(PrerequisiteError):
             conn.start()
 
+    def test_builds_only_the_roster_in_dispatch_order(self, silent_peer):
+        conn = make_conn(silent_peer, roster={"closing", "bundler", "parser"})
+        assert list(conn._agents) == ["parser", "bundler", "closing"]
+        conn.stop()
+
     def test_unknown_agent_rejected(self, silent_peer):
         provider = NullHandshakeProvider(seed=1, is_client=True)
-        conn = Connection(silent_peer[0], silent_peer[1], provider, roster={"parser", "nope"})
+        conn = Connection(
+            silent_peer[0], silent_peer[1], provider, new_trace(), roster={"parser", "nope"}
+        )
         with pytest.raises(ValueError):
             conn.start()
 
@@ -151,7 +163,7 @@ class TestDispatch:
         conn = make_conn(silent_peer, roster={"parser"})
         conn.dispatch(NewKeysAvailable(level=EncryptionLevel.ONE_RTT))
         assert all(not queue for queue in conn.queues.values())
-        assert conn.timers == {}
+        assert conn.retransmit_at is None
         assert all(not space.sent for space in conn.spaces.values())
         assert conn.agent_errors == []
         conn.stop()
@@ -449,7 +461,7 @@ def test_every_event_type_is_acted_on():
         for value in vars(events).values()
         if dataclasses.is_dataclass(value) and value.__module__ == events.__name__
     ]
-    agents = build_agents(None).values()
+    agents = build_agents().values()
     for agent in agents:
         if agent.subscriptions:
             assert type(agent).handle is not Agent.handle, agent.name

@@ -18,7 +18,8 @@ from quicprobe.faultsrv import (
 )
 from quicprobe.protection import EncryptionLevel, NullHandshakeProvider
 from quicprobe.scenarios import SuitePlan, codes, run_scenario, run_suite
-from quicprobe.scenarios.base import default_client_tp
+from quicprobe.scenarios.base import default_client_tp, stream_frames_from_trace
+from quicprobe.traces import TraceBuilder
 from quicprobe.wire import encode_transport_parameters
 from quicprobe.wire.transport_params import (
     TP_INITIAL_MAX_DATA,
@@ -28,12 +29,16 @@ from quicprobe.wire.transport_params import (
 from quicprobe.wire.varint import decode_varint
 
 
+def new_trace():
+    return TraceBuilder("handshake", 1, {"name": "loopback"})
+
+
 def connect(server, client_tp=None):
     tp = client_tp or default_client_tp()
     provider = NullHandshakeProvider(
         seed=7, is_client=True, local_tp=encode_transport_parameters(tp)
     )
-    conn = Connection("127.0.0.1", server.port, provider, roster=FULL_ROSTER)
+    conn = Connection("127.0.0.1", server.port, provider, new_trace(), roster=FULL_ROSTER)
     conn.start()
     return conn
 
@@ -79,6 +84,17 @@ def test_interleaved_connections_on_one_server():
         while server.conns and time.monotonic() < deadline:
             time.sleep(0.01)
         assert server.conns == {}
+
+
+def test_reordered_pair_is_never_resent():
+    # the reordering scenario runs without the retransmission agent, so
+    # its two packets go out once however long the server stays silent;
+    # 1200 ms outlasts the 500 ms retransmission timer twice over
+    with fault_server("reorder_livelock") as server:
+        target = {"name": "loopback", "host": "127.0.0.1", "port": server.port}
+        trace = run_scenario("stream_opening_reordering", target, timeout_ms=1200)
+    assert trace.error_code == codes.SOR_NO_RESPONSE
+    assert len(stream_frames_from_trace(trace, 0, "tx")) == 2
 
 
 def test_idle_connections_are_forgotten():
@@ -176,6 +192,7 @@ def test_reject_0rtt_drops_early_data_but_completes_handshake():
             "127.0.0.1",
             server.port,
             provider,
+            new_trace(),
             roster=FULL_ROSTER,
             assumed_peer_tp=default_client_tp(),
         )
@@ -221,7 +238,9 @@ def test_server_reads_a_padded_client_hello_without_a_varint_per_byte(monkeypatc
         provider = NullHandshakeProvider(
             seed=7, is_client=True, local_tp=encode_transport_parameters(default_client_tp())
         )
-        conn = Connection("127.0.0.1", peer.getsockname()[1], provider, roster=FULL_ROSTER)
+        conn = Connection(
+            "127.0.0.1", peer.getsockname()[1], provider, new_trace(), roster=FULL_ROSTER
+        )
         conn.start()
         hello, addr = peer.recvfrom(65535)
         conn.stop()

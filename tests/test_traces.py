@@ -1,7 +1,9 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quicprobe.traces import (
     RunCorpus,
@@ -143,6 +145,57 @@ class TestPersistence:
         assert trace.packets[1]["decrypt_error"] is True
         assert trace.notes[0]["kind"] == "agent_error"
         assert trace.error_code == 0
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_DROP = object()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path=st.sampled_from(
+        [
+            ("scenario",),
+            ("started_at",),
+            ("target",),
+            ("target", "name"),
+            ("error_code",),
+            ("results",),
+            ("results", "versions"),
+        ]
+    ),
+    value=_JSON_VALUES | st.sampled_from([_DROP, 10**30, -(10**30)]),
+)
+def test_a_mutated_trace_is_indexed_or_named_in_one_warning(path, value):
+    """Whatever JSON a field the report reads holds, the report's read,
+    metrics and grid run to the end, and the file is either indexed or
+    named in exactly one warning."""
+    doc = make_trace(D2, "beta", "version_negotiation", 0, {"versions": [1]}).to_json()
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    if value is _DROP:
+        del holder[last]
+    else:
+        holder[last] = value
+    with tempfile.TemporaryDirectory() as root:
+        write_trace(make_trace(D1, "alpha", "handshake", 0), root)
+        odd = os.path.join(root, "odd.json")
+        with open(odd, "w") as fh:
+            json.dump(doc, fh)
+        loaded, warnings = read_corpus(root)
+        assert len(warnings) == len([w for w in warnings if w.startswith(f"{odd}: ")]) <= 1
+        assert len(loaded.traces) + len(warnings) == 2
+        metric_versions_over_time(loaded)
+        metric_handshake_success(loaded)
+        outcomes_to_csv(metric_outcomes(loaded))
+        for date in loaded.dates():
+            render_grid(loaded, date)
 
 
 class TestMetrics:
