@@ -33,19 +33,22 @@ from ..wire import (
     MaxStreamDataFrame,
     PacketHeader,
     PaddingFrame,
+    ParseError,
     StreamFrame,
     TransportParameters,
     encode_varint,
     is_ack_eliciting,
     serialize_frames,
 )
-from ..wire.transport_params import TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE
+from ..wire.transport_params import TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE, TP_MAX_ACK_DELAY
 from .events import Event, PacketSent, Timeout
 from .streams import FlowControlAssertion, StreamState
 
 MAX_DATAGRAM_SIZE = 1252
 INITIAL_DATAGRAM_MIN = 1200
 RETRANSMISSION_TIMER_MS = 500
+# RFC 9000 section 18.2: max_ack_delay when the peer announced none
+DEFAULT_MAX_ACK_DELAY_MS = 25
 
 # fixed dispatch order, so event handling is reproducible
 AGENT_ORDER = (
@@ -151,6 +154,9 @@ class Connection:
         self.bytes_received = 0
         self.bytes_sent = 0
         self.port_refused = False  # the peer's host answered port unreachable
+        self.first_sent_at: float | None = None  # monotonic
+        self.last_received_at: float | None = None  # monotonic
+        self.rtt: float | None = None  # first datagram sent to first received, seconds
         self.decrypt_failures: dict[EncryptionLevel, int] = {}
         self.version_negotiation: PacketHeader | None = None
         self.malformed_version_negotiation: str | None = None
@@ -229,7 +235,7 @@ class Connection:
 
     # -- pumping ----------------------------------------------------------
 
-    def pump(self, wait: float = 0.05) -> None:
+    def pump(self, wait: float) -> None:
         """Send what is queued, wait up to ``wait`` seconds for datagrams,
         or less if the retransmission deadline falls sooner, then process
         events, the deadline and the send path until quiescent."""
@@ -255,6 +261,9 @@ class Connection:
                     break
                 if not datagram:
                     break
+                self.last_received_at = time.monotonic()
+                if self.rtt is None and self.first_sent_at is not None:
+                    self.rtt = self.last_received_at - self.first_sent_at
                 self.bytes_received += len(datagram)
                 parser = self._agents.get("parser")
                 if parser is not None:
@@ -284,9 +293,48 @@ class Connection:
             self.pump(deadline - now)
 
     def settle(self, seconds: float) -> None:
-        """Pump for the whole window, however many datagrams arrive and
-        whenever: a window in which a violating peer would keep sending."""
-        self.run_until(lambda: False, seconds)
+        """Pump until no datagram has arrived for one probe timeout since
+        the settle began, or for the whole window of ``seconds``, whichever
+        ends first: the window in which a violating peer would keep
+        sending. Every datagram that arrives restarts the quiet period, so
+        a peer that keeps sending is watched for the whole window; without
+        an RTT sample there is no probe timeout, and the settle runs the
+        whole window. A ``settle`` note in the trace says which ended it."""
+        start = time.monotonic()
+        window_end = start + seconds
+        pto = self.probe_timeout()
+        end = window_end
+        while True:
+            if pto is not None:
+                end = min(window_end, max(start, self.last_received_at or start) + pto)
+            now = time.monotonic()
+            if now >= end:
+                break
+            self.pump(end - now)
+        self.trace.note(
+            "settle",
+            {
+                "window_ms": round(seconds * 1000, 1),
+                "rtt_ms": None if self.rtt is None else round(self.rtt * 1000, 1),
+                "quiet_ms": None if pto is None else round(pto * 1000, 1),
+                "waited_ms": round((now - start) * 1000, 1),
+                "ended": "window" if end >= window_end else "quiet",
+            },
+        )
+
+    def probe_timeout(self) -> float | None:
+        """RFC 9002's probe timeout after the first RTT sample,
+        3 * rtt + max_ack_delay, in seconds; None before that sample.
+        max_ack_delay is the peer's transport parameter, or its default
+        when the peer sent none or one that does not decode."""
+        if self.rtt is None:
+            return None
+        try:
+            peer_value = self.peer_tp.get_int(TP_MAX_ACK_DELAY) if self.peer_tp else None
+        except ParseError:
+            peer_value = None
+        max_ack_delay_ms = DEFAULT_MAX_ACK_DELAY_MS if peer_value is None else peer_value
+        return 3 * self.rtt + max_ack_delay_ms / 1000
 
     def _check_deadline(self) -> None:
         if self.retransmit_at is not None and time.monotonic() >= self.retransmit_at:
@@ -487,6 +535,8 @@ class Connection:
         if self.sock is None:
             raise PrerequisiteError("socket closed")
         self.sock.send(datagram)
+        if self.first_sent_at is None:
+            self.first_sent_at = time.monotonic()
         self.bytes_sent += len(datagram)
 
     def _flush(self) -> None:

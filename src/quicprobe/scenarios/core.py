@@ -24,10 +24,13 @@ from .base import (
 # Every window a scenario waits, in seconds. ``ctx.timeout_s`` bounds the
 # waits for a peer that may be far away or down. The caps bound the waits
 # after a completed handshake, when the peer has shown that it answers;
-# each applies only where it is shorter than the timeout. A settle waits
-# its whole window, however much arrives, because that is where a
-# violating peer would keep sending; a conformant peer pays for every
-# settle in full, so they are kept short.
+# each applies only where it is shorter than the timeout. A settle
+# watches for what a violating peer would keep sending. It ends once the
+# peer has been quiet for one probe timeout (RFC 9002: three times the
+# connection's RTT sample plus the peer's max_ack_delay), as a peer that
+# is still sending must have been heard by then; each settle window below
+# is only its upper bound, reached by a peer that keeps sending, or by a
+# connection that holds no RTT sample.
 #
 # address_validation splits its timeout: this share to reach the held
 # finish, the same again for the handshake after its release

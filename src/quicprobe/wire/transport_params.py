@@ -21,6 +21,7 @@ TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE = 0x06
 TP_INITIAL_MAX_STREAM_DATA_UNI = 0x07
 TP_INITIAL_MAX_STREAMS_BIDI = 0x08
 TP_INITIAL_MAX_STREAMS_UNI = 0x09
+TP_MAX_ACK_DELAY = 0x0B
 TP_INITIAL_SCID = 0x0F
 
 
@@ -121,5 +122,6 @@ __all__ = [
     "TP_INITIAL_MAX_STREAM_DATA_UNI",
     "TP_INITIAL_MAX_STREAMS_BIDI",
     "TP_INITIAL_MAX_STREAMS_UNI",
+    "TP_MAX_ACK_DELAY",
     "TP_INITIAL_SCID",
 ]

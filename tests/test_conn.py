@@ -1,6 +1,7 @@
 import dataclasses
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,10 +37,13 @@ from quicprobe.wire import (
     PaddingFrame,
     PingFrame,
     StreamFrame,
+    TransportParameters,
     encode_transport_parameters,
+    encode_varint,
     parse_frames,
     serialize_header,
 )
+from quicprobe.wire.transport_params import TP_MAX_ACK_DELAY
 
 
 @pytest.fixture
@@ -383,6 +387,97 @@ def test_settle_sees_a_datagram_that_arrives_late():
         late.join()
         conn.stop()
         peer.close()
+
+
+@pytest.fixture
+def scripted_peer():
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(2.0)
+    yield sock
+    sock.close()
+
+
+def sampled_conn(peer, delay=0.0, **kwargs):
+    """A connection whose first datagram the peer answers ``delay``
+    seconds late, so it holds one RTT sample; and the client's address."""
+    conn = make_conn(peer.getsockname(), roster={"bundler"}, **kwargs)
+    conn.queue_frame(EncryptionLevel.INITIAL, PingFrame())
+    conn.pump(0)
+    _, client = peer.recvfrom(65535)
+    time.sleep(delay)
+    peer.sendto(b"\x00" * 30, client)
+    conn.pump(1.0)
+    assert conn.rtt is not None and conn.rtt >= delay
+    return conn, client
+
+
+@pytest.mark.parametrize(
+    "entries, max_ack_delay_ms",
+    [
+        ({}, 25),
+        ({TP_MAX_ACK_DELAY: encode_varint(150)}, 150),
+        ({TP_MAX_ACK_DELAY: b"\x10\x00"}, 25),  # trailing byte: as if absent
+    ],
+)
+def test_settle_ends_one_probe_timeout_after_the_peer_fell_silent(
+    scripted_peer, entries, max_ack_delay_ms
+):
+    conn, _ = sampled_conn(scripted_peer, assumed_peer_tp=TransportParameters(entries=entries))
+    try:
+        pto = 3 * conn.rtt + max_ack_delay_ms / 1000
+        assert conn.probe_timeout() == pytest.approx(pto)
+        t0 = time.monotonic()
+        conn.settle(1.0)
+        waited = time.monotonic() - t0
+    finally:
+        conn.stop()
+    assert pto <= waited < 0.5
+    note = conn.trace.notes[-1]
+    assert note["kind"] == "settle"
+    assert note["detail"] == {
+        "window_ms": 1000.0,
+        "rtt_ms": round(conn.rtt * 1000, 1),
+        "quiet_ms": round(pto * 1000, 1),
+        "waited_ms": pytest.approx(waited * 1000, abs=1),
+        "ended": "quiet",
+    }
+
+
+def test_settle_watches_a_peer_that_keeps_sending_for_the_whole_window(scripted_peer):
+    # 30 ms away: the probe timeout is over 115 ms, the peer's gaps 20 ms
+    conn, client = sampled_conn(scripted_peer, delay=0.03)
+    received = conn.bytes_received
+    start = time.monotonic()
+
+    def send_every_20ms():
+        for k in range(1, 13):
+            time.sleep(max(0.0, start + 0.02 * k - time.monotonic()))
+            scripted_peer.sendto(b"\x00" * 40, client)
+
+    sender = threading.Thread(target=send_every_20ms)
+    sender.start()
+    try:
+        conn.settle(0.3)
+        waited = time.monotonic() - start
+    finally:
+        sender.join(2.0)
+        conn.stop()
+    assert not sender.is_alive()
+    assert waited >= 0.3
+    assert conn.bytes_received == received + 12 * 40
+    assert conn.trace.notes[-1]["detail"]["ended"] == "window"
+
+
+def test_settle_without_an_rtt_sample_runs_the_whole_window(silent_peer):
+    conn = make_conn(silent_peer, roster=frozenset())
+    try:
+        conn.settle(0.1)
+    finally:
+        conn.stop()
+    detail = conn.trace.notes[-1]["detail"]
+    assert detail["waited_ms"] >= 100
+    assert (detail["rtt_ms"], detail["quiet_ms"], detail["ended"]) == (None, None, "window")
 
 
 class TestRetry:

@@ -185,6 +185,39 @@ def test_reordering_settles_only_after_an_answer(monkeypatch, compliant_server):
     assert settles == [REORDER_SETTLE_S]
 
 
+@pytest.mark.parametrize(
+    "fault, scenario",
+    [
+        ("none", "address_validation"),
+        ("none", "flow_control"),
+        ("no_amplification_limit", "address_validation"),
+        ("ignore_stream_limit", "flow_control"),
+        ("empty_stream_frames", "flow_control"),
+        ("stream_blocked_spam", "flow_control"),
+        ("ack_gap_overflow", "stream_opening_reordering"),
+    ],
+)
+def test_settle_judged_verdicts_hold_under_fast_thread_switching(fault, scenario):
+    # a settle that ends on the peer's silence must still see all of what
+    # the server sends when the client and server threads interleave finely
+    server = serve(ServerConfig(fault=FaultSpec(name=fault)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        traces = [run_scenario(scenario, target_of(server), timeout_ms=2000) for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop()
+    assert server.errors == []
+    want = FAULT_EXPECTATIONS[fault].get(scenario, 0)
+    assert [t.error_code for t in traces] == [want] * 10, [t.results for t in traces]
+    for trace in traces:
+        if (fault, scenario) == ("none", "flow_control"):
+            assert (trace.results["first_burst_bytes"], trace.results["total_bytes"]) == (80, 160)
+        if (fault, scenario) == ("none", "address_validation"):
+            assert trace.results["ratio"] <= 3
+
+
 def test_handler_error_is_recorded_and_server_keeps_serving(monkeypatch):
     def broken(self, data, level):
         raise RuntimeError("handler bug")
