@@ -1,6 +1,6 @@
-"""Event-driven connection engine and the composable client agents."""
+"""Client connection engine and the composable client agents."""
 
-from .agents import build_ack, build_agents
+from .agents import build_ack
 from .connection import (
     AGENT_ORDER,
     Connection,
@@ -8,37 +8,26 @@ from .connection import (
     HandshakeStage,
     INITIAL_DATAGRAM_MIN,
     MAX_DATAGRAM_SIZE,
+    Packet,
     PrerequisiteError,
     perform_handshake,
     unfinished_stage,
-)
-from .events import (
-    Event,
-    NewKeysAvailable,
-    PacketReceived,
-    PacketSent,
-    Timeout,
 )
 from .streams import FlowControlAssertion, StreamRecv, StreamState
 
 __all__ = [
     "AGENT_ORDER",
     "Connection",
-    "Event",
     "FULL_ROSTER",
     "FlowControlAssertion",
     "HandshakeStage",
     "INITIAL_DATAGRAM_MIN",
     "MAX_DATAGRAM_SIZE",
-    "NewKeysAvailable",
-    "PacketReceived",
-    "PacketSent",
+    "Packet",
     "PrerequisiteError",
     "StreamRecv",
     "StreamState",
-    "Timeout",
     "build_ack",
-    "build_agents",
     "perform_handshake",
     "unfinished_stage",
 ]

@@ -2,9 +2,11 @@
 
 Each one owns a reusable slice of client behaviour; scenarios enable
 exactly the subset they need. Agents are confined to one connection and
-communicate only through the event bus and the connection state. The
-parser is fed datagrams by ``Connection.pump`` and the bundler is
-flushed by it; the others act on the events they subscribe to.
+share only the connection's state. The connection calls each hook an
+agent's class overrides (``start``, ``received``, ``sent``,
+``timeout``) on the roster's agents in a fixed order. The parser is fed
+datagrams by ``Connection.pump`` and calls ``received`` for each packet
+it opens; the bundler is flushed by the connection.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from ..wire import (
     parse_header,
     serialize_frame,
 )
-from .connection import MAX_DATAGRAM_SIZE, INITIAL_DATAGRAM_MIN, RETRANSMISSION_TIMER_MS
-from .events import NewKeysAvailable, PacketReceived, PacketSent, Timeout
+from .connection import MAX_DATAGRAM_SIZE, INITIAL_DATAGRAM_MIN, RETRANSMISSION_TIMER_MS, Packet
 from .streams import StreamRecv
 
 _LONG_TYPE_LEVELS = (
@@ -48,23 +49,32 @@ _LONG_TYPE_LEVELS = (
 
 
 class Agent:
+    """The hooks a connection calls; each is a no-op until overridden."""
+
     name = "agent"
-    subscriptions: tuple = ()
 
     def start(self, conn) -> None:
-        pass
+        """The connection is open: take the first actions."""
 
-    def handle(self, conn, event) -> None:
-        pass
+    def received(self, conn, packet: Packet) -> None:
+        """A packet arrived and was opened."""
+
+    def sent(self, conn, packet: Packet) -> None:
+        """A packet went out."""
+
+    def timeout(self, conn) -> None:
+        """The retransmission deadline passed."""
+
+
+HOOKS = ("start", "received", "sent", "timeout")
 
 
 class ParserAgent(Agent):
-    """Turns incoming datagrams into PacketReceived events: removes packet
-    protection, parses frames, and files version-negotiation/undecryptable
-    observations on the connection."""
+    """Opens incoming datagrams for the others' ``received`` hook: removes
+    packet protection, parses frames, and files version-negotiation and
+    undecryptable observations on the connection."""
 
     name = "parser"
-    subscriptions = ()
 
     def datagram(self, conn, data: bytes) -> None:
         first = data[0]
@@ -127,7 +137,7 @@ class ParserAgent(Agent):
         conn.trace.log_packet(
             "rx", level.label, cleartext_packet_bytes(header, plaintext), len(conn.scid)
         )
-        conn.emit(PacketReceived(header=header, frames=frames, level=level))
+        conn.run_hook("received", Packet(header=header, frames=frames, level=level))
 
     @staticmethod
     def _retry(conn, data: bytes) -> None:
@@ -156,27 +166,26 @@ class TlsAgent(Agent):
     secrets it exports and surfaces the peer's transport parameters."""
 
     name = "tls"
-    subscriptions = (PacketReceived,)
 
     def __init__(self):
         self._reassembly: dict[EncryptionLevel, StreamRecv] = {}
         self._consumed: dict[EncryptionLevel, int] = {}
         self._tp_applied = False
 
-    def handle(self, conn, event: PacketReceived) -> None:
-        crypto = [f for f in event.frames if isinstance(f, CryptoFrame)]
+    def received(self, conn, packet: Packet) -> None:
+        crypto = [f for f in packet.frames if isinstance(f, CryptoFrame)]
         if not crypto:
             return
-        recv = self._reassembly.setdefault(event.level, StreamRecv())
+        recv = self._reassembly.setdefault(packet.level, StreamRecv())
         for frame in crypto:
             recv.add(frame.offset, frame.data, fin=False)
-        done = self._consumed.get(event.level, 0)
+        done = self._consumed.get(packet.level, 0)
         fresh = recv.delivered[done:]
         if not fresh:
             return
-        self._consumed[event.level] = len(recv.delivered)
+        self._consumed[packet.level] = len(recv.delivered)
 
-        outputs = conn.provider.consume(event.level, fresh)
+        outputs = conn.provider.consume(packet.level, fresh)
         for level, data in outputs:
             if conn.hold_client_finished and level is EncryptionLevel.HANDSHAKE:
                 conn._held_crypto.append((level, data))
@@ -195,27 +204,24 @@ class TlsAgent(Agent):
 
 
 def drain_secrets(conn) -> None:
-    fresh_levels = []
+    """Install the keys the provider exported; a key already installed for
+    the same level and direction stays."""
     for km in conn.provider.exported_secrets():
-        if conn.install_key(km) and km.level not in fresh_levels:
-            fresh_levels.append(km.level)
-    for level in fresh_levels:
-        conn.emit(NewKeysAvailable(level=level))
+        conn.keys.setdefault((km.level, km.direction), km)
 
 
 class AckAgent(Agent):
     """Queues an ACK for every ack-eliciting packet received."""
 
     name = "ack"
-    subscriptions = (PacketReceived,)
 
-    def handle(self, conn, event: PacketReceived) -> None:
-        if not is_ack_eliciting(event.frames):
+    def received(self, conn, packet: Packet) -> None:
+        if not is_ack_eliciting(packet.frames):
             return
-        space = conn.space(event.level)
+        space = conn.space(packet.level)
         if not space.received:
             return
-        conn.queue_frame(event.level, build_ack(space.received))
+        conn.queue_frame(packet.level, build_ack(space.received))
 
 
 def build_ack(received: set[int]) -> AckFrame:
@@ -247,10 +253,9 @@ class FlowControlAgent(Agent):
     the limit raises the peer advertises."""
 
     name = "flow_control"
-    subscriptions = (PacketReceived,)
 
-    def handle(self, conn, event: PacketReceived) -> None:
-        for frame in event.frames:
+    def received(self, conn, packet: Packet) -> None:
+        for frame in packet.frames:
             if isinstance(frame, StreamFrame):
                 conn.stream(frame.stream_id).recv.add(frame.offset, frame.data, frame.fin)
             elif isinstance(frame, MaxStreamDataFrame):
@@ -261,20 +266,30 @@ class FlowControlAgent(Agent):
 
 
 class HandshakeAgent(Agent):
-    """Kicks off the handshake and tracks its completion."""
+    """Kicks off the handshake and tracks its completion: the provider is
+    done, the client's finish has gone out and both 1-RTT keys are
+    installed. The tls agent installs keys before this agent's
+    ``received`` hook runs on the same packet."""
 
     name = "handshake"
-    subscriptions = (PacketReceived, PacketSent, NewKeysAvailable)
 
     def start(self, conn) -> None:
         for level, data in conn.provider.start():
             conn.queue_crypto(level, data)
         drain_secrets(conn)
 
-    def handle(self, conn, event) -> None:
-        if isinstance(event, PacketSent) and event.level is EncryptionLevel.HANDSHAKE:
-            if any(isinstance(f, CryptoFrame) for f in event.frames):
-                conn.client_finished_sent = True
+    def received(self, conn, packet: Packet) -> None:
+        self._check_complete(conn)
+
+    def sent(self, conn, packet: Packet) -> None:
+        if packet.level is EncryptionLevel.HANDSHAKE and any(
+            isinstance(f, CryptoFrame) for f in packet.frames
+        ):
+            conn.client_finished_sent = True
+        self._check_complete(conn)
+
+    @staticmethod
+    def _check_complete(conn) -> None:
         if (
             not conn.handshake_complete
             and conn.provider.handshake_complete
@@ -292,43 +307,41 @@ class RetransmissionAgent(Agent):
     the timer's one deadline, ``retransmit_at``."""
 
     name = "retransmission"
-    subscriptions = (PacketReceived, PacketSent, Timeout)
 
-    def handle(self, conn, event) -> None:
-        if isinstance(event, PacketSent):
-            packet = conn.space(event.level).sent.get(event.header.packet_number)
-            if packet and packet.ack_eliciting and conn.retransmit_at is None:
-                conn.retransmit_at = time.monotonic() + RETRANSMISSION_TIMER_MS / 1000
-            return
-        if isinstance(event, PacketReceived):
-            space = conn.space(event.level)
-            for frame in event.frames:
-                if not isinstance(frame, AckFrame):
-                    continue
-                for low, high in frame.decoded_ranges():
-                    for pn in [p for p in space.sent if low <= p <= high]:
-                        del space.sent[pn]
-                    space.largest_acked = max(space.largest_acked, high)
-            return
-        if isinstance(event, Timeout):
-            now = time.monotonic()
-            expired = now - RETRANSMISSION_TIMER_MS / 1000
-            for space in conn.spaces.values():
-                lost = [
-                    pn for pn, sp in space.sent.items() if sp.ack_eliciting and sp.sent_at <= expired
-                ]
-                conn.requeue(space, lost)
-            # what was just declared lost re-arms the timer when it goes out again
-            if any(
-                sp.ack_eliciting for space in conn.spaces.values() for sp in space.sent.values()
-            ):
-                conn.retransmit_at = now + RETRANSMISSION_TIMER_MS / 1000
+    def received(self, conn, packet: Packet) -> None:
+        space = conn.space(packet.level)
+        for frame in packet.frames:
+            if not isinstance(frame, AckFrame):
+                continue
+            for low, high in frame.decoded_ranges():
+                for pn in [p for p in space.sent if low <= p <= high]:
+                    del space.sent[pn]
+                space.largest_acked = max(space.largest_acked, high)
+
+    def sent(self, conn, packet: Packet) -> None:
+        sent = conn.space(packet.level).sent.get(packet.header.packet_number)
+        if sent and sent.ack_eliciting and conn.retransmit_at is None:
+            conn.retransmit_at = time.monotonic() + RETRANSMISSION_TIMER_MS / 1000
+
+    def timeout(self, conn) -> None:
+        now = time.monotonic()
+        expired = now - RETRANSMISSION_TIMER_MS / 1000
+        for space in conn.spaces.values():
+            lost = [
+                pn for pn, sp in space.sent.items() if sp.ack_eliciting and sp.sent_at <= expired
+            ]
+            conn.requeue(space, lost)
+        # what was just declared lost re-arms the timer when it goes out again
+        if any(
+            sp.ack_eliciting for space in conn.spaces.values() for sp in space.sent.values()
+        ):
+            conn.retransmit_at = now + RETRANSMISSION_TIMER_MS / 1000
 
 
 class BundlerAgent(Agent):
     """Drains frame queues into protected packets, splitting oversized data
     frames and padding client Initial datagrams to the required floor.
-    Flushed by the connection rather than by events."""
+    Flushed by the connection; it defines no hook."""
 
     name = "bundler"
 
@@ -411,10 +424,9 @@ class ClosingAgent(Agent):
     """Observes CONNECTION_CLOSE and marks the connection drained."""
 
     name = "closing"
-    subscriptions = (PacketReceived,)
 
-    def handle(self, conn, event: PacketReceived) -> None:
-        for frame in event.frames:
+    def received(self, conn, packet: Packet) -> None:
+        for frame in packet.frames:
             if isinstance(frame, ConnectionCloseFrame):
                 conn.close_received = (frame.error_code, frame.reason)
                 conn.closed = True
@@ -433,8 +445,3 @@ AGENT_TYPES: dict[str, type[Agent]] = {
         ClosingAgent,
     )
 }
-
-
-def build_agents() -> dict[str, Agent]:
-    """One agent of every type, by name."""
-    return {name: cls() for name, cls in AGENT_TYPES.items()}

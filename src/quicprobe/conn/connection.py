@@ -1,7 +1,9 @@
-"""Per-connection event bus, packet spaces and the client send path.
+"""One client connection: its agents' hooks, packet spaces and send path.
 
-One connection is one scenario execution: single-threaded, sequential
-dispatch, agents invoked in a fixed order so traces are reproducible.
+One connection is one scenario execution, single-threaded. Each packet
+received, each packet sent and the retransmission deadline call one
+hook on the roster's agents, directly and in a fixed order, so traces
+are reproducible.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import os
 import select
 import socket
 import time
-import typing
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,7 +42,6 @@ from ..wire import (
     serialize_frames,
 )
 from ..wire.transport_params import TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE, TP_MAX_ACK_DELAY
-from .events import Event, PacketSent, Timeout
 from .streams import FlowControlAssertion, StreamState
 
 MAX_DATAGRAM_SIZE = 1252
@@ -50,7 +50,7 @@ RETRANSMISSION_TIMER_MS = 500
 # RFC 9000 section 18.2: max_ack_delay when the peer announced none
 DEFAULT_MAX_ACK_DELAY_MS = 25
 
-# fixed dispatch order, so event handling is reproducible
+# fixed hook order, so packet handling is reproducible
 AGENT_ORDER = (
     "parser",
     "tls",
@@ -72,6 +72,15 @@ class HandshakeStage(Enum):
     NO_RESPONSE = "no_response"
     VERSION_MISMATCH = "version_mismatch"
     INCOMPLETE = "handshake_incomplete"
+
+
+@dataclass
+class Packet:
+    """One packet as the agents' hooks see it, received or sent."""
+
+    header: PacketHeader
+    frames: list[Frame]
+    level: EncryptionLevel
 
 
 @dataclass
@@ -128,9 +137,8 @@ class Connection:
         self.streams: dict[int, StreamState] = {}
         self.retransmit_at: float | None = None  # monotonic deadline of the one timer
 
-        self._bus: list[Event] = []
         self._agents: dict[str, object] = {}  # the roster's agents, in AGENT_ORDER
-        self._subscribers: dict[type, list] = {}  # event type -> its agents, in order
+        self._hooks: dict[str, list] = {}  # hook -> the agents that define it, in order
         self._held_crypto: list[tuple[EncryptionLevel, bytes]] = []
         self._crypto_offsets: dict[EncryptionLevel, int] = {}
 
@@ -163,22 +171,23 @@ class Connection:
         self.empty_stream_frames_received = 0
         self.blocked_frames_received = 0
         self.flagged_acks_received = 0
-        self.agent_errors: list[tuple[str, str]] = []
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
         """Build the roster's agents, bind the socket and let the agents
         take their first actions."""
-        from .agents import AGENT_TYPES
+        from .agents import AGENT_TYPES, HOOKS, Agent
 
         unknown = self.roster - FULL_ROSTER
         if unknown:
             raise ValueError(f"unknown agents: {sorted(unknown)}")
         self._agents = {name: AGENT_TYPES[name]() for name in AGENT_ORDER if name in self.roster}
-        self._subscribers = {
-            event_type: [a for a in self._agents.values() if issubclass(event_type, a.subscriptions)]
-            for event_type in typing.get_args(Event)
+        # a hook runs only on the agents whose class overrides it
+        agents = self._agents.values()
+        self._hooks = {
+            hook: [a for a in agents if getattr(type(a), hook) is not getattr(Agent, hook)]
+            for hook in HOOKS
         }
         try:
             info = socket.getaddrinfo(self.host, self.port, type=socket.SOCK_DGRAM)
@@ -198,8 +207,7 @@ class Connection:
         self.keys[(EncryptionLevel.INITIAL, "client")] = client_keys
         self.keys[(EncryptionLevel.INITIAL, "server")] = server_keys
 
-        for agent in self._agents.values():
-            self._run_handler(agent.name, agent.start, self)
+        self.run_hook("start")
         self._flush()
 
     def stop(self) -> None:
@@ -207,17 +215,14 @@ class Connection:
             self.sock.close()
             self.sock = None
 
-    # -- event bus ------------------------------------------------------
+    # -- agents -----------------------------------------------------------
 
-    def emit(self, event: Event) -> None:
-        self._bus.append(event)
-
-    def dispatch(self, event: Event) -> None:
-        """Run every agent subscribed to the event's type on it, in the
-        fixed order. A failing handler is isolated and recorded; dispatch
-        continues."""
-        for agent in self._subscribers[type(event)]:
-            self._run_handler(agent.name, agent.handle, self, event)
+    def run_hook(self, hook: str, *args) -> None:
+        """Call ``hook`` on every roster agent that defines it, in the
+        fixed order. A failing agent is isolated and noted in the trace;
+        the others still run."""
+        for agent in self._hooks[hook]:
+            self._run_handler(agent.name, getattr(agent, hook), self, *args)
 
     def _run_handler(self, name: str, fn, *args) -> None:
         try:
@@ -225,25 +230,19 @@ class Connection:
         except FlowControlAssertion:
             raise
         except Exception as exc:  # isolate the failing agent
-            self.agent_errors.append((name, repr(exc)))
             self.trace.note("agent_error", {"agent": name, "error": repr(exc)})
-
-    def _drain_bus(self) -> None:
-        while self._bus:
-            event = self._bus.pop(0)
-            self.dispatch(event)
 
     # -- pumping ----------------------------------------------------------
 
     def pump(self, wait: float) -> None:
         """Send what is queued, wait up to ``wait`` seconds for datagrams,
-        or less if the retransmission deadline falls sooner, then process
-        events, the deadline and the send path until quiescent."""
+        or less if the retransmission deadline falls sooner, then hand each
+        datagram to the parser, check the deadline and send what that
+        queued."""
         if self.sock is None:
             return
         # a deadline set by this send bounds the wait below
         self._flush()
-        self._drain_bus()
         if self.retransmit_at is not None:
             wait = min(wait, self.retransmit_at - time.monotonic())
         readable, _, _ = select.select([self.sock], [], [], max(wait, 0))
@@ -268,14 +267,8 @@ class Connection:
                 parser = self._agents.get("parser")
                 if parser is not None:
                     self._run_handler("parser", parser.datagram, self, datagram)
-                # finish this datagram (e.g. install the keys it unlocked)
-                # before parsing the next one
-                self._drain_bus()
-        self._drain_bus()
         self._check_deadline()
-        self._drain_bus()
         self._flush()
-        self._drain_bus()
 
     def run_until(self, predicate, timeout: float) -> bool:
         """Pump until ``predicate()`` holds or ``timeout`` seconds pass.
@@ -339,16 +332,9 @@ class Connection:
     def _check_deadline(self) -> None:
         if self.retransmit_at is not None and time.monotonic() >= self.retransmit_at:
             self.retransmit_at = None
-            self.emit(Timeout())
+            self.run_hook("timeout")
 
     # -- keys -------------------------------------------------------------
-
-    def install_key(self, km: KeyMaterial) -> bool:
-        slot = (km.level, km.direction)
-        if slot in self.keys:
-            return False
-        self.keys[slot] = km
-        return True
 
     def send_keys(self, level: EncryptionLevel) -> KeyMaterial | None:
         return self.keys.get((level, "client"))
@@ -490,8 +476,9 @@ class Connection:
         level: EncryptionLevel,
         frames: list[Frame],
         packet_number: int | None = None,
-    ) -> PacketSent:
-        """Build, protect and transmit one packet immediately."""
+    ) -> Packet:
+        """Build, protect and transmit one packet immediately, then run
+        the agents' ``sent`` hook on it."""
         keys = self.send_keys(level)
         if keys is None:
             raise PrerequisiteError(f"no send keys at {level.label}")
@@ -527,9 +514,9 @@ class Connection:
         self.trace.log_packet(
             "tx", level.label, cleartext_packet_bytes(header, plaintext), len(self.dcid)
         )
-        event = PacketSent(header=header, frames=frames, level=level)
-        self.emit(event)
-        return event
+        sent = Packet(header=header, frames=frames, level=level)
+        self.run_hook("sent", sent)
+        return sent
 
     def _sendto(self, datagram: bytes) -> None:
         if self.sock is None:

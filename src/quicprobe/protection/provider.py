@@ -74,8 +74,8 @@ class NullHandshakeProvider(HandshakeProvider):
 
     ``local_tp`` is the already-encoded transport parameter blob this
     side announces (raw, so a test server can announce a deliberately
-    broken encoding). ``verify_peer`` controls whether the scripted
-    certificate material is checked against its expected derivation.
+    broken encoding). The scripted certificate material is always checked
+    against its expected derivation.
     """
 
     def __init__(
@@ -86,7 +86,6 @@ class NullHandshakeProvider(HandshakeProvider):
         ticket: bytes | None = None,
         accept_early_data: bool = True,
         issue_tickets: bool = True,
-        verify_peer: bool = True,
     ):
         self.seed = struct.pack(">Q", seed)
         self.is_client = is_client
@@ -94,7 +93,6 @@ class NullHandshakeProvider(HandshakeProvider):
         self.offered_ticket = ticket
         self.accept_early_data = accept_early_data
         self.issue_tickets = issue_tickets
-        self.verify_peer = verify_peer
 
         self.handshake_complete = False
         self.early_data_accepted = False
@@ -187,12 +185,10 @@ class NullHandshakeProvider(HandshakeProvider):
             self.peer_tp_raw = body[3 : 3 + tp_len]
             return []
         if msg_type == MSG_CERTIFICATE:
-            if self.verify_peer:
-                self._expect(body == _derive(self.seed, "cert", 48), "bad certificate")
+            self._expect(body == _derive(self.seed, "cert", 48), "bad certificate")
             return []
         if msg_type == MSG_CERTIFICATE_VERIFY:
-            if self.verify_peer:
-                self._expect(body == _derive(self.seed, "cert-verify"), "bad certificate verify")
+            self._expect(body == _derive(self.seed, "cert-verify"), "bad certificate verify")
             return []
         if msg_type == MSG_FINISHED:
             self._expect(body == _derive(self.seed, "server fin", 16), "bad server finished")

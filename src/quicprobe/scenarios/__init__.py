@@ -51,7 +51,14 @@ class SuitePlan:
     def __post_init__(self):
         unknown = set(self.scenarios) - set(ALL_SCENARIOS)
         if unknown:
-            raise ValueError(f"unknown scenarios: {sorted(unknown)}")
+            raise ValueError(
+                f"unknown scenarios: {sorted(unknown)}; "
+                f"available: {', '.join(sorted(ALL_SCENARIOS))}"
+            )
+        if self.timeout_ms <= 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout_ms} ms")
+        if self.parallel < 1:
+            raise ValueError(f"parallel must be at least 1, got {self.parallel}")
 
 
 def run_scenario(
@@ -100,7 +107,7 @@ def run_suite(plan: SuitePlan) -> list[Trace]:
             ]
             return [future.result() for future in futures]
 
-    with ThreadPoolExecutor(max_workers=max(plan.parallel, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=plan.parallel) as pool:
         grouped = list(pool.map(probe_target, plan.targets))
     return [trace for group in grouped for trace in group]
 

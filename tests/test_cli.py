@@ -113,8 +113,27 @@ def test_report_skips_unreadable_entries(tmp_path, capsys):
 def test_run_rejects_unknown_scenario(server, tmp_path):
     targets = tmp_path / "targets.txt"
     targets.write_text(f"local,127.0.0.1:{server.port}\n")
-    with pytest.raises(SystemExit, match="unknown scenarios"):
+    with pytest.raises(SystemExit, match="unknown scenarios") as exc:
         quicprobe_main(["run", "--targets", str(targets), "--scenarios", "bogus"])
+    assert "available: address_validation," in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--timeout-ms", "0", "timeout must be positive, got 0 ms"),
+        ("--timeout-ms", "-100", "timeout must be positive, got -100 ms"),
+        ("--parallel", "0", "parallel must be at least 1, got 0"),
+    ],
+)
+def test_run_rejects_a_plan_with_its_one_line_reason(tmp_path, flag, value, reason):
+    targets = tmp_path / "targets.txt"
+    targets.write_text("local,127.0.0.1:4433\n")
+    out = tmp_path / "traces"
+    with pytest.raises(SystemExit) as exc:
+        quicprobe_main(["run", "--targets", str(targets), "--out", str(out), flag, value])
+    assert str(exc.value) == reason
+    assert not out.exists()
 
 
 def test_report_empty_corpus_fails(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import socket
 import threading
 import time
@@ -10,14 +9,12 @@ from quicprobe.conn import (
     Connection,
     FULL_ROSTER,
     HandshakeStage,
-    NewKeysAvailable,
     PrerequisiteError,
     StreamRecv,
     build_ack,
     perform_handshake,
 )
-from quicprobe.conn import events
-from quicprobe.conn.agents import Agent, build_agents
+from quicprobe.conn.agents import AGENT_TYPES, HOOKS, Agent
 from quicprobe.conn.streams import FlowControlAssertion
 from quicprobe.protection import (
     EncryptionLevel,
@@ -89,9 +86,7 @@ def server_packet(conn, frames, pn=0):
 
 def feed(conn, datagram):
     conn._agents["parser"].datagram(conn, datagram)
-    conn._drain_bus()
     conn._flush()
-    conn._drain_bus()
 
 
 class TestStart:
@@ -163,24 +158,26 @@ class TestDispatch:
         assert sent.header.packet_number not in conn.space(EncryptionLevel.INITIAL).sent
         conn.stop()
 
-    def test_event_without_subscriber_is_no_effect(self, silent_peer):
+    def test_hook_no_roster_agent_defines_has_no_effect(self, silent_peer):
         conn = make_conn(silent_peer, roster={"parser"})
-        conn.dispatch(NewKeysAvailable(level=EncryptionLevel.ONE_RTT))
+        assert conn._hooks == {hook: [] for hook in HOOKS}
+        conn.run_hook("timeout")
         assert all(not queue for queue in conn.queues.values())
         assert conn.retransmit_at is None
         assert all(not space.sent for space in conn.spaces.values())
-        assert conn.agent_errors == []
+        assert not conn.trace.notes
         conn.stop()
 
     def test_failing_agent_is_isolated(self, silent_peer):
         conn = make_conn(silent_peer)
 
-        def explode(conn_, event):
+        def explode(conn_, packet):
             raise RuntimeError("boom")
 
-        conn._agents["tls"].handle = explode
+        conn._agents["tls"].received = explode
         feed(conn, server_packet(conn, [CryptoFrame(offset=0, data=b"x"), PingFrame()], pn=0))
-        assert conn.agent_errors and conn.agent_errors[0][0] == "tls"
+        errors = [note["detail"] for note in conn.trace.notes if note["kind"] == "agent_error"]
+        assert errors == [{"agent": "tls", "error": "RuntimeError('boom')"}]
         # the ack agent still ran for the same event
         acks = [
             f
@@ -191,12 +188,12 @@ class TestDispatch:
         assert acks
         conn.stop()
 
-    def test_events_dispatched_fifo(self, silent_peer):
+    def test_received_hook_sees_packets_in_arrival_order(self, silent_peer):
         conn = make_conn(silent_peer, roster={"parser", "flow_control"})
         seen = []
         agent = conn._agents["flow_control"]
-        original = agent.handle
-        agent.handle = lambda c, e: (seen.append(e.header.packet_number), original(c, e))[1]
+        original = agent.received
+        agent.received = lambda c, p: (seen.append(p.header.packet_number), original(c, p))[1]
         feed(conn, server_packet(conn, [PingFrame()], pn=0))
         feed(conn, server_packet(conn, [PingFrame()], pn=1))
         feed(conn, server_packet(conn, [PingFrame()], pn=2))
@@ -322,7 +319,6 @@ def test_parser_survives_garbage_datagrams(silent_peer):
     for _ in range(300):
         blob = rng.randbytes(rng.randint(1, 120))
         conn._run_handler("parser", lambda d=blob: parser.datagram(conn, d))
-        conn._drain_bus()
     # still alive and still speaking
     conn.queue_frame(EncryptionLevel.INITIAL, PingFrame())
     conn._flush()
@@ -548,26 +544,20 @@ class TestRetry:
             conn.stop()
 
 
-def test_every_event_type_is_acted_on():
-    """Each event type has a subscriber whose own ``handle`` can act on it,
-    and no agent subscribes to events it would ignore."""
-    event_types = [
-        value
-        for value in vars(events).values()
-        if dataclasses.is_dataclass(value) and value.__module__ == events.__name__
-    ]
-    agents = build_agents().values()
-    for agent in agents:
-        if agent.subscriptions:
-            assert type(agent).handle is not Agent.handle, agent.name
-    for event_type in event_types:
-        acting = [
-            agent.name
-            for agent in agents
-            if issubclass(event_type, agent.subscriptions)
-            and type(agent).handle is not Agent.handle
-        ]
-        assert acting, event_type.__name__
+def test_every_agent_method_is_a_hook():
+    """Hooks are found by override, so a misspelled one would never run:
+    every public method an agent type defines is a hook or one the
+    connection calls by name, and every hook but ``start`` has an agent."""
+    called_by_name = {"datagram", "flush"}
+    for cls in AGENT_TYPES.values():
+        methods = {
+            attr for attr in vars(cls) if not attr.startswith("_") and callable(getattr(cls, attr))
+        }
+        assert methods <= set(HOOKS) | called_by_name, cls.__name__
+    assert set(vars(Agent)) >= set(HOOKS)
+    for hook in set(HOOKS) - {"start"}:
+        defining = [cls for cls in AGENT_TYPES.values() if hook in vars(cls)]
+        assert defining, hook
 
 
 class TestBuildAck:

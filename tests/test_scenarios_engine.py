@@ -87,6 +87,16 @@ class TestSuitePlan:
         with pytest.raises(ValueError):
             SuitePlan(targets=[], scenarios=["no_such_test"])
 
+    @pytest.mark.parametrize("timeout_ms", [0, -100])
+    def test_non_positive_timeout_rejected(self, timeout_ms):
+        with pytest.raises(ValueError, match=f"timeout must be positive, got {timeout_ms} ms"):
+            SuitePlan(targets=[], timeout_ms=timeout_ms)
+
+    @pytest.mark.parametrize("parallel", [0, -1])
+    def test_fewer_than_one_parallel_target_rejected(self, parallel):
+        with pytest.raises(ValueError, match=f"parallel must be at least 1, got {parallel}"):
+            SuitePlan(targets=[], parallel=parallel)
+
     def test_defaults_cover_all_scenarios(self):
         plan = SuitePlan(targets=[])
         assert sorted(plan.scenarios) == sorted(ALL_SCENARIOS)
