@@ -78,8 +78,12 @@ def _cmd_report(args) -> int:
     corpus, warnings = read_corpus(args.corpus)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    if not corpus.traces:
+    present = corpus.dates()
+    if not present:
         raise SystemExit("no traces found")
+    # checked before any output: the date names a grid file
+    if args.date is not None and args.date not in present:
+        raise SystemExit(f"date {args.date!r} is not in the corpus; dates: {', '.join(present)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -90,7 +94,7 @@ def _cmd_report(args) -> int:
         handshake_success_to_csv(metric_handshake_success(corpus))
     )
     (out / "outcomes.csv").write_text(outcomes_to_csv(metric_outcomes(corpus)))
-    dates = [args.date] if args.date else corpus.dates()
+    dates = [args.date] if args.date is not None else present
     corpus_link = Path(os.path.relpath(args.corpus, out)).as_posix()
     for date in dates:
         html_doc, csv_doc = render_grid(corpus, date, corpus_link)

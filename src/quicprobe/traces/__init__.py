@@ -10,9 +10,20 @@ from .metrics import (
     metric_versions_over_time,
     outcomes_to_csv,
 )
-from .model import RunCorpus, Trace, TraceBuilder, outcome, read_corpus, trace_filename, write_trace
+from .model import (
+    CorpusEntry,
+    RunCorpus,
+    Trace,
+    TraceBuilder,
+    outcome,
+    read_corpus,
+    read_trace,
+    trace_filename,
+    write_trace,
+)
 
 __all__ = [
+    "CorpusEntry",
     "OutcomeRow",
     "RunCorpus",
     "Trace",
@@ -25,6 +36,7 @@ __all__ = [
     "outcome",
     "outcomes_to_csv",
     "read_corpus",
+    "read_trace",
     "render_grid",
     "trace_filename",
     "write_trace",

@@ -22,7 +22,7 @@ _CELL_STYLES = {
 
 def render_grid(corpus: RunCorpus, date: str, corpus_link: str = "") -> tuple[str, str]:
     """(html, csv) for one run date. A cell links to the file its trace
-    was read from (``RunCorpus.path``), below ``corpus_link``: the corpus
+    was read from (``CorpusEntry.path``), below ``corpus_link``: the corpus
     root as seen from the HTML file."""
     by_target = corpus.by_target(date)
     targets = list(by_target)
@@ -32,7 +32,7 @@ def render_grid(corpus: RunCorpus, date: str, corpus_link: str = "") -> tuple[st
     csv_doc = csv_text(
         ["scenario"] + targets,
         [
-            [name] + ["" if trace is None else str(trace.error_code) for trace in cells]
+            [name] + ["" if entry is None else str(entry.error_code) for entry in cells]
             for name, cells in rows
         ],
     )
@@ -52,18 +52,18 @@ def render_grid(corpus: RunCorpus, date: str, corpus_link: str = "") -> tuple[st
     parts.append("</tr>")
     for name, cells in rows:
         parts.append(f"<tr><td style='border:1px solid #ccc;padding:4px 8px'>{html.escape(name)}</td>")
-        for target, trace in zip(targets, cells):
-            if trace is None:
+        for entry in cells:
+            if entry is None:
                 parts.append(
                     f"<td style='border:1px solid #ccc;padding:4px 8px;text-align:center;"
                     f"{_CELL_STYLES['blank']}'></td>"
                 )
                 continue
-            style = _CELL_STYLES[outcome(trace.error_code)]
-            href = html.escape(posixpath.join(corpus_link, corpus.path(date, target, name)))
+            style = _CELL_STYLES[outcome(entry.error_code)]
+            href = html.escape(posixpath.join(corpus_link, entry.path))
             parts.append(
                 f"<td style='border:1px solid #ccc;padding:4px 8px;text-align:center;{style}'>"
-                f"<a style='color:inherit' href='{href}'>{trace.error_code}</a></td>"
+                f"<a style='color:inherit' href='{href}'>{entry.error_code}</a></td>"
             )
         parts.append("</tr>")
     parts.append("</table></body></html>")

@@ -13,7 +13,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 
-from .model import RunCorpus, Trace, outcome
+from .model import CorpusEntry, RunCorpus, outcome
 
 
 def _requires_handshake_scenarios() -> set[str]:
@@ -31,9 +31,9 @@ def csv_text(header: list[str], rows) -> str:
     return out.getvalue()
 
 
-def _handshake_ok(by_scenario: dict[str, Trace]) -> bool:
-    trace = by_scenario.get("handshake")
-    return trace is not None and trace.error_code == 0
+def _handshake_ok(by_scenario: dict[str, CorpusEntry]) -> bool:
+    entry = by_scenario.get("handshake")
+    return entry is not None and entry.error_code == 0
 
 
 @dataclass
@@ -61,9 +61,9 @@ def metric_versions_over_time(corpus: RunCorpus) -> VersionsTable:
         tested.append((date, len(by_target)))
         counts: Counter[int] = Counter()
         for by_scenario in by_target.values():
-            trace = by_scenario.get("version_negotiation")
-            if trace is not None:
-                counts.update(set(trace.results.get("versions") or []))
+            entry = by_scenario.get("version_negotiation")
+            if entry is not None:
+                counts.update(set(entry.versions))
         rows += [(date, version, counts[version]) for version in sorted(counts)]
     return VersionsTable(rows=rows, tested=tested)
 
@@ -102,9 +102,9 @@ def metric_outcomes(
     for date in corpus.dates():
         qualifying = [s for s in corpus.by_target(date).values() if _handshake_ok(s)]
         counts = Counter(
-            outcome(trace.error_code)
+            outcome(entry.error_code)
             for by_scenario in qualifying
-            for name, trace in by_scenario.items()
+            for name, entry in by_scenario.items()
             if name in scenario_names
         )
         total = sum(counts.values())

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,6 +33,8 @@ _KNOWN_FIELDS = {
 
 # UTC milliseconds from 0001-01-01 to the end of 9999-12-31: what ``Trace.date`` can read
 _STARTED_AT_RANGE = range(-62_135_596_800_000, 253_402_300_800_000)
+# the values of the 32-bit Version field of a long header (RFC 9000 section 15)
+_VERSION_RANGE = range(0x1_0000_0000)
 
 
 def outcome(code: int) -> str:
@@ -119,6 +122,8 @@ class Trace:
         versions = trace.results.get("versions", [])
         if not isinstance(versions, list) or any(type(v) is not int for v in versions):
             raise ValueError("results.versions is not a list of integers")
+        if any(v not in _VERSION_RANGE for v in versions):
+            raise ValueError("results.versions holds a number outside the 32-bit version field")
         return trace
 
 
@@ -196,38 +201,45 @@ def write_trace(trace: Trace, out_dir: str | Path) -> Path:
     return path
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class CorpusEntry:
+    """What the report reads of one trace: its code, the versions it
+    recorded (``results.versions``) and its path below the corpus root."""
+
+    error_code: int
+    versions: tuple[int, ...]
+    path: str
+
+
 class RunCorpus:
-    """Traces indexed by (date, target name, scenario). A key holds one
-    trace: of several with the same key the first is kept."""
+    """An index of verdicts by (date, target name, scenario): one
+    ``CorpusEntry`` per key, built from the first trace added with that
+    key. The traces themselves are not kept, so a report's memory grows
+    with the number of verdicts, not with the bytes of their packet logs."""
 
-    traces: list[Trace] = field(default_factory=list)
-
-    def __post_init__(self):
-        given, self.traces = self.traces, []
-        self._index: dict[str, dict[str, dict[str, Trace]]] = {}
-        self._paths: dict[tuple[str, str, str], str] = {}
-        for trace in given:
+    def __init__(self, traces: Iterable[Trace] = ()):
+        self._index: dict[str, dict[str, dict[str, CorpusEntry]]] = {}
+        for trace in traces:
             self.add(trace)
 
     def add(self, trace: Trace, path: str | None = None) -> bool:
-        """Index and keep ``trace``, read from ``path`` below the corpus
-        root; False, keeping nothing, if its key is taken."""
+        """Index ``trace``, read from ``path`` below the corpus root (else
+        where ``write_trace`` puts it); False, indexing nothing, if its key
+        is taken."""
         date, target, scenario = trace.key
         by_scenario = self._index.setdefault(date, {}).setdefault(target, {})
         if scenario in by_scenario:
             return False
-        by_scenario[scenario] = trace
-        self.traces.append(trace)
-        if path is not None:
-            self._paths[date, target, scenario] = path
+        by_scenario[scenario] = CorpusEntry(
+            error_code=trace.error_code,
+            versions=tuple(trace.results.get("versions") or ()),
+            path=path or f"{date}/{trace_filename(trace)}",
+        )
         return True
 
     def path(self, date: str, target: str, scenario: str) -> str:
-        """Where the trace of a key lies below the corpus root: the file it
-        was read from, else where ``write_trace`` puts it."""
-        key = (date, target, scenario)
-        return self._paths.get(key) or f"{date}/{trace_filename(self.get(*key))}"
+        """Where the trace of a key lies below the corpus root."""
+        return self.get(date, target, scenario).path
 
     def dates(self) -> list[str]:
         return sorted(self._index)
@@ -235,18 +247,28 @@ class RunCorpus:
     def targets(self, date: str) -> list[str]:
         return sorted(self._index.get(date, ()))
 
-    def by_target(self, date: str) -> dict[str, dict[str, Trace]]:
-        """target -> scenario -> trace for one date, in target order."""
+    def by_target(self, date: str) -> dict[str, dict[str, CorpusEntry]]:
+        """target -> scenario -> entry for one date, in target order."""
         by_target = self._index.get(date, {})
         return {target: by_target[target] for target in sorted(by_target)}
 
-    def get(self, date: str, target: str, scenario: str) -> Trace | None:
+    def get(self, date: str, target: str, scenario: str) -> CorpusEntry | None:
         return self._index.get(date, {}).get(target, {}).get(scenario)
 
 
+def read_trace(path: str | Path) -> Trace:
+    """The trace in one file: read in one unbuffered binary read, decoded
+    as strict UTF-8 (not by ``json.loads``, which would also take a BOM or
+    UTF-16), then checked by ``Trace.from_json``."""
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
+    return Trace.from_json(json.loads(data.decode("utf-8")))
+
+
 def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
-    """Read every ``*.json`` file below ``root`` in path order, which
-    compares paths component by component as ``Path`` does. Malformed or
+    """Index every ``*.json`` file below ``root`` in path order, which
+    compares paths component by component as ``Path`` does. Each file is
+    read by ``read_trace`` and dropped once indexed. Malformed or
     unreadable files, directories that cannot be listed, and duplicates of
     a key already read are skipped and reported in the returned warning
     list."""
@@ -268,10 +290,7 @@ def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
     for rel in found:
         path = prefix + rel
         try:
-            with open(path, "rb", buffering=0) as fh:
-                data = fh.readall()
-            # decoded here, not by json.loads, which would also take a BOM or UTF-16
-            trace = Trace.from_json(json.loads(data.decode("utf-8")))
+            trace = read_trace(path)
             if not corpus.add(trace, rel):
                 warnings.append(f"{path}: duplicate trace for {trace.key}, keeping the first")
         except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:

@@ -141,6 +141,26 @@ def test_report_empty_corpus_fails(tmp_path):
         quicprobe_main(["report", "--corpus", str(tmp_path), "--out", str(tmp_path / "r")])
 
 
+def test_report_date_writes_that_grid_only(tmp_path):
+    good = build_synthetic_corpus()[0]
+    write_trace(good, tmp_path / "corpus")
+    out = tmp_path / "report"
+    args = ["report", "--corpus", str(tmp_path / "corpus"), "--out", str(out), "--date", good.date]
+    assert quicprobe_main(args) == 0
+    assert sorted(p.name for p in out.glob("grid_*")) == [f"grid_{good.date}.csv", f"grid_{good.date}.html"]
+
+
+@pytest.mark.parametrize("date", ["../escaped", "2099-01-01"])
+def test_report_rejects_a_date_the_corpus_does_not_hold(tmp_path, date):
+    good = build_synthetic_corpus()[0]
+    write_trace(good, tmp_path / "corpus")
+    out = tmp_path / "report"
+    with pytest.raises(SystemExit) as exc:
+        quicprobe_main(["report", "--corpus", str(tmp_path / "corpus"), "--out", str(out), "--date", date])
+    assert str(exc.value) == f"date {date!r} is not in the corpus; dates: {good.date}"
+    assert not out.exists()
+
+
 def test_faultsrv_list_faults(capsys):
     rc = faultsrv_main(["--list-faults"])
     assert rc == 0
@@ -191,6 +211,7 @@ def report_warnings(tmp_path, capsys, name: str, content: bytes) -> list[str]:
         ("results", []),
         ("results", {"versions": 1}),
         ("results", {"versions": ["0x1"]}),
+        ("results", {"versions": [-1, 2**40]}),
     ],
 )
 def test_report_skips_a_trace_with_a_wrongly_typed_field(tmp_path, capsys, field, value):

@@ -23,7 +23,7 @@ from quicprobe.scenarios import (
     scenario_order,
 )
 from quicprobe.scenarios.core import REORDER_SETTLE_S
-from quicprobe.traces import read_corpus, write_trace
+from quicprobe.traces import read_corpus, read_trace, write_trace
 from quicprobe.wire import (
     AckFrame,
     StreamFrame,
@@ -73,12 +73,11 @@ def test_every_logged_cleartext_packet_reparses_and_dissects(compliant_server, t
     traces = run_suite(plan)
     desc = quic_v1_description()
     packets = 0
-    for trace in traces:
-        write_trace(trace, tmp_path)
-    corpus, warnings = read_corpus(tmp_path)
+    paths = [write_trace(trace, tmp_path) for trace in traces]
+    _, warnings = read_corpus(tmp_path)
     assert warnings == []
-    for trace in corpus.traces:
-        for entry in trace.packets:
+    for path in paths:
+        for entry in read_trace(path).packets:
             if "cleartext_hex" not in entry:
                 continue
             raw = bytes.fromhex(entry["cleartext_hex"])

@@ -1,11 +1,16 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quicprobe.traces import (
+    CorpusEntry,
     RunCorpus,
     Trace,
     TraceBuilder,
@@ -14,6 +19,7 @@ from quicprobe.traces import (
     metric_versions_over_time,
     outcomes_to_csv,
     read_corpus,
+    read_trace,
     render_grid,
     write_trace,
 )
@@ -35,6 +41,16 @@ def corpus() -> RunCorpus:
     return RunCorpus(traces=build_synthetic_corpus())
 
 
+def entries(corpus: RunCorpus) -> list[tuple[tuple[str, str, str], CorpusEntry]]:
+    """Every (key, entry) a corpus indexes, in key order."""
+    return [
+        ((date, target, scenario), entry)
+        for date in corpus.dates()
+        for target, by_scenario in corpus.by_target(date).items()
+        for scenario, entry in by_scenario.items()
+    ]
+
+
 class TestPersistence:
     def test_write_read_round_trip(self, tmp_path):
         trace = make_trace(D1, "alpha", "handshake", 0, {"versions": [1, 0x51474F]})
@@ -43,9 +59,12 @@ class TestPersistence:
         )
         path = write_trace(trace, tmp_path)
         assert path.parent.name == D1
+        assert read_trace(path) == trace
         loaded, warnings = read_corpus(tmp_path)
         assert warnings == []
-        assert loaded.traces == [trace]
+        assert entries(loaded) == [
+            ((D1, "alpha", "handshake"), CorpusEntry(0, (1, 0x51474F), f"{D1}/alpha_handshake.json"))
+        ]
 
     def test_unknown_fields_preserved(self, tmp_path):
         trace = make_trace(D1, "alpha", "handshake", 0)
@@ -54,9 +73,9 @@ class TestPersistence:
         path = tmp_path / D1 / "alpha_handshake.json"
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps(doc))
-        loaded, _ = read_corpus(tmp_path)
-        assert loaded.traces[0].extra == {"x-custom-annotation": {"who": "future tool"}}
-        assert loaded.traces[0].to_json()["x-custom-annotation"] == {"who": "future tool"}
+        loaded = read_trace(path)
+        assert loaded.extra == {"x-custom-annotation": {"who": "future tool"}}
+        assert loaded.to_json()["x-custom-annotation"] == {"who": "future tool"}
 
     def test_corrupt_file_skipped_with_warning(self, tmp_path):
         for i in range(9):
@@ -64,7 +83,7 @@ class TestPersistence:
         bad = tmp_path / D1 / "broken.json"
         bad.write_text("{not json")
         loaded, warnings = read_corpus(tmp_path)
-        assert len(loaded.traces) == 9
+        assert len(entries(loaded)) == 9
         assert len(warnings) == 1 and "broken.json" in warnings[0]
 
     def test_duplicate_key_skipped_with_warning(self, tmp_path):
@@ -72,8 +91,8 @@ class TestPersistence:
         dup = tmp_path / D1 / "zzz_duplicate.json"
         dup.write_text(json.dumps(make_trace(D1, "alpha", "handshake", 5).to_json()))
         loaded, warnings = read_corpus(tmp_path)
-        assert len(loaded.traces) == 1
-        assert loaded.traces[0].error_code == 0
+        assert len(entries(loaded)) == 1
+        assert entries(loaded)[0][1].error_code == 0
         assert len(warnings) == 1
 
     @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
@@ -83,7 +102,7 @@ class TestPersistence:
         doc = make_trace(D1, "beta", "handshake", 0).to_json()
         odd.write_text(json.dumps(doc), encoding=encoding)
         loaded, warnings = read_corpus(tmp_path)
-        assert [t.target_name for t in loaded.traces] == ["alpha"]
+        assert [target for (_, target, _), _ in entries(loaded)] == ["alpha"]
         assert len(warnings) == 1 and warnings[0].startswith(f"{odd}: ")
 
     def test_paths_are_read_in_component_order(self, tmp_path):
@@ -93,7 +112,7 @@ class TestPersistence:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(json.dumps(make_trace(D1, "alpha", "handshake", code).to_json()))
         loaded, warnings = read_corpus(tmp_path)
-        assert [t.error_code for t in loaded.traces] == [3]
+        assert [entry.error_code for _, entry in entries(loaded)] == [3]
         assert loaded.path(D1, "alpha", "handshake") == "a/b/w.json"
         assert [w.split(": ", 1)[0] for w in warnings] == [
             str(tmp_path / "a" / "z.json"),
@@ -114,7 +133,7 @@ class TestPersistence:
 
         monkeypatch.setattr(os, "scandir", refusing)
         loaded, warnings = read_corpus(tmp_path)
-        assert [t.date for t in loaded.traces] == [D1]
+        assert [date for (date, _, _), _ in entries(loaded)] == [D1]
         assert len(warnings) == 1 and warnings[0].startswith(f"{locked}: PermissionError")
 
     def test_sanitized_target_names_do_not_collide(self, tmp_path):
@@ -126,14 +145,47 @@ class TestPersistence:
         assert "a_b_handshake.json" in paths  # a name that needs no change keeps it
         loaded, warnings = read_corpus(tmp_path)
         assert warnings == []
-        assert sorted(t.target_name for t in loaded.traces) == ["a b", "a_b"]
+        assert sorted(target for (_, target, _), _ in entries(loaded)) == ["a b", "a_b"]
 
     def test_vn_results_preserved_exactly(self, tmp_path):
         versions = [1, 0xFF00001D, 0x709A50C4]
         trace = make_trace(D1, "alpha", "version_negotiation", 0, {"versions": versions})
-        write_trace(trace, tmp_path)
+        path = write_trace(trace, tmp_path)
+        assert read_trace(path).results["versions"] == versions
         loaded, _ = read_corpus(tmp_path)
-        assert loaded.traces[0].results["versions"] == versions
+        assert loaded.get(D1, "alpha", "version_negotiation").versions == tuple(versions)
+
+    @pytest.mark.parametrize("versions, ok", [([0, 0xFFFFFFFF], True), ([-1], False), ([2**32], False)])
+    def test_versions_are_32_bit(self, versions, ok):
+        doc = make_trace(D1, "alpha", "version_negotiation", 0, {"versions": versions}).to_json()
+        if ok:
+            assert Trace.from_json(doc).results["versions"] == versions
+        else:
+            with pytest.raises(ValueError, match="results.versions"):
+                Trace.from_json(doc)
+
+    def test_corpus_holds_its_index_not_its_traces(self, tmp_path):
+        """A trace is dropped once indexed, packet log and all: what a read
+        corpus holds grows with its verdicts, not with the bytes read."""
+        packets = [
+            {"direction": "rx", "timestamp_ms": i, "level": "one_rtt", "cleartext_hex": "ab" * 1000, "dcid_len": 8}
+            for i in range(20)
+        ]
+        for n in range(50):
+            trace = make_trace(D1, f"ep{n:02d}", "version_negotiation", 0, {"versions": [1]})
+            trace.packets = packets
+            write_trace(trace, tmp_path)
+        sizes = [path.stat().st_size for path in tmp_path.rglob("*.json")]
+        assert len(sizes) == 50 and min(sizes) >= 40_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded, warnings = read_corpus(tmp_path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert warnings == [] and len(entries(loaded)) == 50
+        assert held < sum(sizes) / 10
 
     def test_trace_builder_offsets_and_notes(self):
         builder = TraceBuilder("handshake", 1, {"name": "x", "host": "h", "port": 1})
@@ -168,7 +220,7 @@ _DROP = object()
             ("results", "versions"),
         ]
     ),
-    value=_JSON_VALUES | st.sampled_from([_DROP, 10**30, -(10**30)]),
+    value=_JSON_VALUES | st.sampled_from([_DROP, 10**30, -(10**30), [-1], [2**40]]),
 )
 def test_a_mutated_trace_is_indexed_or_named_in_one_warning(path, value):
     """Whatever JSON a field the report reads holds, the report's read,
@@ -190,7 +242,7 @@ def test_a_mutated_trace_is_indexed_or_named_in_one_warning(path, value):
             json.dump(doc, fh)
         loaded, warnings = read_corpus(root)
         assert len(warnings) == len([w for w in warnings if w.startswith(f"{odd}: ")]) <= 1
-        assert len(loaded.traces) + len(warnings) == 2
+        assert len(entries(loaded)) + len(warnings) == 2
         metric_versions_over_time(loaded)
         metric_handshake_success(loaded)
         outcomes_to_csv(metric_outcomes(loaded))
@@ -294,8 +346,9 @@ class TestIndex:
     def test_first_trace_of_a_key_wins(self):
         first = make_trace(D1, "alpha", "handshake", 0)
         c = RunCorpus(traces=[first, make_trace(D1, "alpha", "handshake", 3)])
-        assert c.traces == [first]
-        assert c.get(D1, "alpha", "handshake") is first
+        kept = CorpusEntry(0, (), f"{D1}/alpha_handshake.json")
+        assert entries(c) == [((D1, "alpha", "handshake"), kept)]
+        assert c.get(D1, "alpha", "handshake") == kept
 
     def test_report_reads_each_trace_date_a_constant_number_of_times(self, monkeypatch):
         traces = [
@@ -320,3 +373,20 @@ class TestIndex:
         for day in c.dates():
             render_grid(c, day)
         assert evals <= 2 * len(traces)
+
+
+def test_benchmark_tracer_installs_over_the_program():
+    """The benchmark's traced mode wraps program names it looks up by
+    string (``RunCorpus.get`` on the class, ``Trace.date``'s getter); a
+    rename must fail here, not only under ``bench/run.py --trace 1``."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "bench"), str(root / "src")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import workloads, tracer; tracer.Tracer().install()"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
