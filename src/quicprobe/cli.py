@@ -15,6 +15,7 @@ from pathlib import Path
 from .protection import DEFAULT_PROVIDER_SEED
 from .scenarios import ALL_SCENARIOS, DEFAULT_TIMEOUT_MS, SuitePlan, run_suite
 from .traces import (
+    INDEX_NAME,
     handshake_success_to_csv,
     metric_handshake_success,
     metric_outcomes,
@@ -100,6 +101,10 @@ def _cmd_report(args) -> int:
         html_doc, csv_doc = render_grid(corpus, date, corpus_link)
         (out / f"grid_{date}.html").write_text(html_doc)
         (out / f"grid_{date}.csv").write_text(csv_doc)
+    print(
+        f"indexed {len(corpus)} traces: {corpus.from_index} from {INDEX_NAME}, "
+        f"{corpus.decoded} files decoded"
+    )
     print(f"report written to {out}")
     return 0
 

@@ -11,6 +11,7 @@ from .metrics import (
     outcomes_to_csv,
 )
 from .model import (
+    INDEX_NAME,
     CorpusEntry,
     RunCorpus,
     Trace,
@@ -23,6 +24,7 @@ from .model import (
 )
 
 __all__ = [
+    "INDEX_NAME",
     "CorpusEntry",
     "OutcomeRow",
     "RunCorpus",

@@ -2,7 +2,9 @@
 
 One JSON file per scenario execution, one directory per run date. Unknown
 fields survive a read/write cycle so traces from newer tools degrade
-gracefully.
+gracefully. Beside the traces, the corpus root keeps the verdict index
+(``INDEX_NAME``), so a report decodes only the traces that are new or
+changed since the last one.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 TRACE_FORMAT = 1
+INDEX_NAME = ".quicprobe-index"  # in the corpus root; not ``*.json``, so no walk takes it for a trace
+_INDEX_FORMAT = 1
+# A file changed less than this long before a report started can be
+# changed again later in the same clock tick, under the same stamp (git's
+# "racily clean" rule); 2 s covers the coarsest file-system clock.
+_RACY_NS = 2_000_000_000
+_clock_ns = time.time_ns  # when a report starts
 
 _KNOWN_FIELDS = {
     "format",
@@ -191,13 +200,29 @@ def trace_filename(trace: Trace) -> str:
     return f"{safe}_{trace.scenario}.json"
 
 
+def _write_atomically(path: Path, write) -> None:
+    """Call ``write`` on a new text file beside ``path``, named without
+    ``.json``, then rename that file to ``path``. If anything fails, the
+    new file is removed and ``path`` is left as it was."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_trace(trace: Trace, out_dir: str | Path) -> Path:
-    """Write one trace under ``out_dir/<run date>/``."""
+    """Write one trace under ``out_dir/<run date>/``, atomically: a failed
+    write leaves the file that was there, and a rewritten trace is a new
+    file (a new inode), which the verdict index sees."""
     day_dir = Path(out_dir) / trace.date
     day_dir.mkdir(parents=True, exist_ok=True)
     path = day_dir / trace_filename(trace)
-    with open(path, "w") as fh:
-        json.dump(trace.to_json(), fh, indent=1)
+    _write_atomically(path, lambda fh: json.dump(trace.to_json(), fh, indent=1))
     return path
 
 
@@ -215,12 +240,22 @@ class RunCorpus:
     """An index of verdicts by (date, target name, scenario): one
     ``CorpusEntry`` per key, built from the first trace added with that
     key. The traces themselves are not kept, so a report's memory grows
-    with the number of verdicts, not with the bytes of their packet logs."""
+    with the number of verdicts, not with the bytes of their packet logs.
+
+    ``read_corpus`` counts how it read the corpus: ``from_index`` traces
+    taken from the verdict index, ``decoded`` files read by ``read_trace``."""
 
     def __init__(self, traces: Iterable[Trace] = ()):
         self._index: dict[str, dict[str, dict[str, CorpusEntry]]] = {}
+        self.from_index = 0
+        self.decoded = 0
         for trace in traces:
             self.add(trace)
+
+    def __len__(self) -> int:
+        return sum(
+            len(by_scenario) for by_target in self._index.values() for by_scenario in by_target.values()
+        )
 
     def add(self, trace: Trace, path: str | None = None) -> bool:
         """Index ``trace``, read from ``path`` below the corpus root (else
@@ -265,16 +300,77 @@ def read_trace(path: str | Path) -> Trace:
     return Trace.from_json(json.loads(data.decode("utf-8")))
 
 
+def _load_index(path: Path) -> dict:
+    """The records of the verdict index at ``path``: empty if it is
+    missing, unreadable or of another format. Each record is checked only
+    when it is used."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            doc = json.loads(fh.readall())
+    except (OSError, ValueError, RecursionError):
+        return {}
+    if type(doc) is dict and doc.get("format") == _INDEX_FORMAT and type(doc.get("traces")) is dict:
+        return doc["traces"]
+    return {}
+
+
+def _stamp(path: str, racy_after_ns: int) -> list[int] | None:
+    """The stat stamp of the file at ``path``; None if it cannot be
+    stat'ed or changed after ``racy_after_ns``, so that it is not to be
+    taken from the verdict index nor put in it."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None  # read_trace meets the same error and warns about it
+    if st.st_ctime_ns > racy_after_ns:
+        return None
+    return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
+
+
+def _indexed_trace(record, stamp: list[int] | None) -> Trace | None:
+    """The trace a verdict-index record holds, if the record is
+    ``[*stamp, fields]`` and its fields pass ``Trace.from_json``."""
+    if stamp is None or type(record) is not list or len(record) != 5 or record[:4] != stamp:
+        return None
+    try:
+        return Trace.from_json(record[4])
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _index_fields(trace: Trace) -> dict:
+    """What the corpus index, the metrics and the grid read of a trace, as
+    a document that ``Trace.from_json`` takes."""
+    return {
+        "scenario": trace.scenario,
+        "started_at": trace.started_at,
+        "error_code": trace.error_code,
+        "target": {"name": trace.target_name},
+        "results": {"versions": trace.results.get("versions", [])},
+    }
+
+
 def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
     """Index every ``*.json`` file below ``root`` in path order, which
-    compares paths component by component as ``Path`` does. Each file is
-    read by ``read_trace`` and dropped once indexed. Malformed or
+    compares paths component by component as ``Path`` does. Malformed or
     unreadable files, directories that cannot be listed, and duplicates of
     a key already read are skipped and reported in the returned warning
-    list."""
+    list.
+
+    A file whose stat stamp (size, mtime, ctime, inode) matches its record
+    in the verdict index, ``root/INDEX_NAME``, is not read: the record's
+    fields stand in for it. Any other file is read by ``read_trace`` and
+    dropped once indexed. The verdict index is then written back if it
+    changed, holding each indexed file that changed at least ``_RACY_NS``
+    before this call; if it cannot be written, that is one more warning."""
+    racy_after_ns = _clock_ns() - _RACY_NS
     corpus = RunCorpus()
     warnings: list[str] = []
     root = Path(root)
+    index_path = root / INDEX_NAME
+    old = _load_index(index_path)
+    new: dict[str, list] = {}
+    changed = False
     prefix = str(root / "x")[:-1]  # the root's share of each path found below it
     below = len(os.path.join(root, ""))  # the length of its share of each os.walk directory
 
@@ -289,10 +385,32 @@ def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
     found.sort(key=lambda rel: rel.split(os.sep))
     for rel in found:
         path = prefix + rel
+        stamp = _stamp(path, racy_after_ns)
+        record = old.get(rel)
         try:
-            trace = read_trace(path)
+            trace = _indexed_trace(record, stamp)
+            if trace is not None:
+                corpus.from_index += 1
+            else:
+                corpus.decoded += 1
+                trace = read_trace(path)
+                record = None
             if not corpus.add(trace, rel):
                 warnings.append(f"{path}: duplicate trace for {trace.key}, keeping the first")
+            elif stamp is not None:
+                if record is None:
+                    record = [*stamp, _index_fields(trace)]
+                    changed = True
+                new[rel] = record
         except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
             warn(path, exc)
+    # unless changed, every record in new is old's record of that path, so equal sizes mean equal indexes
+    if changed or len(new) != len(old):
+        doc = {"format": _INDEX_FORMAT, "traces": new}
+        try:
+            _write_atomically(index_path, lambda fh: fh.write(json.dumps(doc, separators=(",", ":"))))
+        except OSError as exc:
+            warnings.append(
+                f"{index_path}: cannot write the verdict index: {type(exc).__name__}: {exc}"
+            )
     return corpus, warnings

@@ -1,15 +1,24 @@
 """The console entry points, driven in-process."""
 
+import contextlib
+import io
 import json
+import os
 import re
+import tempfile
+import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quicprobe.cli import main as quicprobe_main, parse_targets_file
-from quicprobe.faultsrv import ServerConfig, serve
+from quicprobe.faultsrv import FaultSpec, ServerConfig, serve
 from quicprobe.faultsrv import cli as faultsrv_cli
 from quicprobe.faultsrv.cli import main as faultsrv_main
-from quicprobe.traces import write_trace
+from quicprobe.scenarios import codes
+from quicprobe.traces import INDEX_NAME, Trace, model, write_trace
 
 from .corpus_fixtures import build_synthetic_corpus
 
@@ -235,3 +244,202 @@ def test_report_warning_names_the_reason_not_the_bytes(tmp_path, capsys):
 def test_report_skips_a_too_deeply_nested_trace(tmp_path, capsys):
     warnings = report_warnings(tmp_path, capsys, "deep.json", b"[" * 100_000)
     assert len(warnings) == 1 and "deep.json: RecursionError" in warnings[0]
+
+
+def later_clock() -> int:
+    """The report's clock, 10 s ahead: a trace written just now is old
+    enough to go into the verdict index."""
+    return time.time_ns() + 10_000_000_000
+
+
+def report(corpus: Path, out: Path) -> tuple[str, dict[str, bytes], str]:
+    """The read-count line, the output files and the stderr of one report."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert quicprobe_main(["report", "--corpus", str(corpus), "--out", str(out)]) == 0
+    counts, written = stdout.getvalue().splitlines()
+    assert written == f"report written to {out}"
+    return counts, {p.name: p.read_bytes() for p in sorted(out.iterdir())}, stderr.getvalue()
+
+
+def read_counts(indexed: int, from_index: int, decoded: int) -> str:
+    return f"indexed {indexed} traces: {from_index} from {INDEX_NAME}, {decoded} files decoded"
+
+
+def test_report_decodes_only_new_or_changed_traces(tmp_path, monkeypatch):
+    traces = build_synthetic_corpus()
+    paths = [write_trace(trace, tmp_path / "corpus") for trace in traces]
+    corpus, index = tmp_path / "corpus", tmp_path / "corpus" / INDEX_NAME
+    n = len(traces)
+
+    # written under 2 s before the report started: read, not indexed
+    counts, cold, _ = report(corpus, tmp_path / "r0")
+    assert counts == read_counts(n, 0, n) and not index.exists()
+
+    monkeypatch.setattr(model, "_clock_ns", later_clock)
+    assert report(corpus, tmp_path / "r1") == (read_counts(n, 0, n), cold, "")
+    assert index.is_file()
+    assert report(corpus, tmp_path / "r2") == (read_counts(n, n, 0), cold, "")
+
+    # edited in place, same size and mtime: the ctime tells
+    edited = paths[1]  # alpha's D1 handshake, code 0
+    st = edited.stat()
+    text = edited.read_text()
+    assert '"error_code": 0' in text
+    with open(edited, "r+") as fh:
+        fh.write(text.replace('"error_code": 0', '"error_code": 3'))
+    os.utime(edited, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (edited.stat().st_size, edited.stat().st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    counts, edited_report, _ = report(corpus, tmp_path / "r3")
+    assert counts == read_counts(n, n - 1, 1)
+    assert edited_report["handshake_success.csv"] != cold["handshake_success.csv"]
+    assert report(corpus, tmp_path / "r4") == (read_counts(n, n, 0), edited_report, "")
+
+    # a deleted trace leaves the report and the verdict index
+    paths[-1].unlink()
+    counts, files, _ = report(corpus, tmp_path / "r5")
+    assert counts == read_counts(n - 1, n - 1, 0)
+    assert b"203" not in files["grid_2018-05-03.csv"].splitlines()[-1]  # zero_rtt: delta's only
+    assert str(paths[-1].relative_to(corpus)) not in json.loads(index.read_bytes())["traces"]
+    assert report(corpus, tmp_path / "r6")[0] == read_counts(n - 1, n - 1, 0)
+
+
+def test_report_decodes_a_trace_changed_within_2_s_of_its_start(tmp_path, monkeypatch):
+    """git's racily clean rule: a file whose ctime is that fresh may be
+    rewritten later under the same stamp, so its record is not trusted."""
+    traces = build_synthetic_corpus()
+    paths = [write_trace(trace, tmp_path / "corpus") for trace in traces]
+    corpus, n = tmp_path / "corpus", len(traces)
+    monkeypatch.setattr(model, "_clock_ns", later_clock)
+    _, cold, _ = report(corpus, tmp_path / "r0")
+    assert report(corpus, tmp_path / "r1")[0] == read_counts(n, n, 0)
+
+    ctimes = [path.stat().st_ctime_ns for path in paths]
+    monkeypatch.setattr(model, "_clock_ns", lambda: min(ctimes) + 1_999_999_999)
+    assert report(corpus, tmp_path / "r2") == (read_counts(n, 0, n), cold, "")
+    newest = max(ctimes)
+    monkeypatch.setattr(model, "_clock_ns", lambda: newest + 2_000_000_000)
+    assert report(corpus, tmp_path / "r3") == (read_counts(n, 0, n), cold, "")
+    assert report(corpus, tmp_path / "r4") == (read_counts(n, n, 0), cold, "")
+
+
+def test_report_reflects_a_second_run_on_the_same_day(tmp_path, monkeypatch):
+    """``quicprobe run`` replaces a trace of the same date, target and
+    scenario; the next report reads the new one, not the indexed one."""
+    monkeypatch.setattr(model, "_clock_ns", later_clock)
+    corpus = tmp_path / "traces"
+    grids = []
+    for index, fault in enumerate(("none", "tp_duplicate")):
+        server = serve(ServerConfig(fault=FaultSpec(name=fault)))
+        try:
+            targets = tmp_path / "targets.txt"
+            targets.write_text(f"local,127.0.0.1:{server.port}\n")
+            args = ["run", "--targets", str(targets), "--scenarios", "handshake,transport_parameters"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert quicprobe_main([*args, "--timeout-ms", "5000", "--out", str(corpus)]) == 0
+        finally:
+            server.stop()
+        counts, files, warnings = report(corpus, tmp_path / f"report{index}")
+        assert counts == read_counts(2, 0, 2) and warnings == ""
+        assert report(corpus, tmp_path / f"again{index}")[:2] == (read_counts(2, 2, 0), files)
+        (grid,) = [body for name, body in files.items() if name.startswith("grid_") and name.endswith(".csv")]
+        grids.append(grid.decode().splitlines()[1:])
+    assert grids == [
+        ["handshake,0", "transport_parameters,0"],
+        ["handshake,0", f"transport_parameters,{codes.TP_MALFORMED}"],
+    ]
+
+
+def test_report_warns_once_and_goes_on_when_it_cannot_write_the_index(tmp_path, monkeypatch):
+    # the tests run as root, so a read-only mode would not stop the write
+    for trace in build_synthetic_corpus():
+        write_trace(trace, tmp_path / "corpus")
+    corpus = tmp_path / "corpus"
+    (corpus / INDEX_NAME).mkdir()
+    monkeypatch.setattr(model, "_clock_ns", later_clock)
+    counts, blocked, warnings = report(corpus, tmp_path / "r0")
+    (warning,) = warnings.splitlines()
+    assert warning.startswith(
+        f"warning: {corpus / INDEX_NAME}: cannot write the verdict index: IsADirectoryError"
+    )
+    assert sorted(p.name for p in corpus.iterdir()) == [INDEX_NAME, "2018-05-01", "2018-05-02", "2018-05-03"]
+
+    (corpus / INDEX_NAME).rmdir()
+    assert report(corpus, tmp_path / "r1") == (counts, blocked, "")
+    assert (corpus / INDEX_NAME).is_file()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_FIELD_PATHS = [
+    ("scenario",),
+    ("started_at",),
+    ("error_code",),
+    ("target",),
+    ("target", "name"),
+    ("results",),
+    ("results", "versions"),
+]
+
+
+def _hostile(data, doc: dict, content: bytes) -> bytes:
+    """A verdict index that no report may trust, drawn from a valid one."""
+    kind = data.draw(st.sampled_from(["truncated", "format", "record", "stamp", "fields", "deep", "any"]))
+    records = doc["traces"]
+    rel = data.draw(st.sampled_from(sorted(records)))
+    if kind == "truncated":
+        return content[: data.draw(st.integers(0, len(content) - 1))]
+    if kind == "deep":
+        return b'{"format": 1, "traces": ' + b"[" * 100_000
+    if kind == "any":
+        return json.dumps(data.draw(_JSON_VALUES)).encode()
+    if kind == "format":
+        doc["format"] = data.draw(_JSON_VALUES.filter(lambda v: v != 1))
+    elif kind == "record":
+        records[rel] = data.draw(_JSON_VALUES)
+    elif kind == "stamp":
+        stamp = records[rel][:4]
+        stamp[data.draw(st.integers(0, 3))] = data.draw(_JSON_VALUES)
+        records[rel] = [*stamp, records[rel][4]]
+    else:  # the stamp matches, the fields fail Trace.from_json
+        *parents, last = data.draw(st.sampled_from(_FIELD_PATHS))
+        holder = records[rel][4]
+        for key in parents:
+            holder = holder[key]
+        if data.draw(st.booleans()):
+            del holder[last]
+        else:
+            holder[last] = data.draw(_JSON_VALUES | st.sampled_from([10**30, [-1], [2**40], True]))
+        try:
+            Trace.from_json(records[rel][4])
+        except (KeyError, TypeError, ValueError):
+            pass
+        else:
+            assume(False)
+    # records of paths that no longer exist
+    gone = st.sampled_from(["gone.json", "2018-05-01/gone.json", "../x.json"])
+    records.update(data.draw(st.dictionaries(gone, _JSON_VALUES)))
+    if data.draw(st.booleans()):
+        records["2018-05-02/gone.json"] = records[rel]
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_hostile_index_changes_no_report_output(data):
+    """Whatever the verdict index holds, the report exits 0 and its
+    warnings and outputs are those of a report with no index."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(model, "_clock_ns", later_clock):
+        corpus = Path(tmp) / "corpus"
+        for trace in build_synthetic_corpus()[::3]:
+            write_trace(trace, corpus)
+        (corpus / "2018-05-02" / "bad.json").write_text('{"scenario": "handshake"}')
+        _, cold, warnings = report(corpus, Path(tmp) / "cold")
+        assert warnings.count("warning: ") == 1
+        index = corpus / INDEX_NAME
+        content = index.read_bytes()
+        index.write_bytes(_hostile(data, json.loads(content), content))
+        assert report(corpus, Path(tmp) / "hostile")[1:] == (cold, warnings)

@@ -66,6 +66,28 @@ class TestPersistence:
             ((D1, "alpha", "handshake"), CorpusEntry(0, (1, 0x51474F), f"{D1}/alpha_handshake.json"))
         ]
 
+    def test_a_failed_write_leaves_the_old_trace(self, tmp_path, monkeypatch):
+        path = write_trace(make_trace(D1, "alpha", "handshake", 0), tmp_path)
+        before = path.read_bytes()
+        inode = path.stat().st_ino
+        dump = json.dump
+
+        def half(doc, fh, **kwargs):
+            fh.write(json.dumps(doc, **kwargs)[:40])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", half)
+        with pytest.raises(OSError, match="No space left"):
+            write_trace(make_trace(D1, "alpha", "handshake", 3), tmp_path)
+        assert path.read_bytes() == before
+        assert os.listdir(path.parent) == [path.name]
+
+        monkeypatch.setattr(json, "dump", dump)
+        assert write_trace(make_trace(D1, "alpha", "handshake", 3), tmp_path) == path
+        assert read_trace(path).error_code == 3
+        assert path.stat().st_ino != inode  # a new file, which the verdict index sees
+        assert os.listdir(path.parent) == [path.name]
+
     def test_unknown_fields_preserved(self, tmp_path):
         trace = make_trace(D1, "alpha", "handshake", 0)
         doc = trace.to_json()
