@@ -20,6 +20,11 @@ from pathlib import Path
 
 TRACE_FORMAT = 1
 INDEX_NAME = ".quicprobe-index"  # in the corpus root; not ``*.json``, so no walk takes it for a trace
+# Bump this when ``_index_fields``, the checks of ``Trace.from_json`` or
+# what ``RunCorpus.add`` keeps of a trace change: records of another
+# format are read as absent, so the next report decodes every trace.
+# tests/test_traces.py checks that a record's fields decide both as the
+# whole trace does.
 _INDEX_FORMAT = 1
 # A file changed less than this long before a report started can be
 # changed again later in the same clock tick, under the same stamp (git's

@@ -23,6 +23,7 @@ from quicprobe.traces import (
     render_grid,
     write_trace,
 )
+from quicprobe.traces.model import _index_fields
 
 from .corpus_fixtures import (
     D1,
@@ -270,6 +271,104 @@ def test_a_mutated_trace_is_indexed_or_named_in_one_warning(path, value):
         outcomes_to_csv(metric_outcomes(loaded))
         for date in loaded.dates():
             render_grid(loaded, date)
+
+
+def _leaf_paths(doc: dict, parents: tuple = ()) -> list[tuple]:
+    return [
+        leaf
+        for key, value in doc.items()
+        for leaf in (_leaf_paths(value, (*parents, key)) if type(value) is dict else [(*parents, key)])
+    ]
+
+
+# the fields a verdict-index record stores, as paths into a trace document
+_STORED = _leaf_paths(_index_fields(make_trace(D1, "alpha", "handshake", 0)))
+
+
+def _stored_share(doc: dict) -> dict:
+    """The share of ``doc`` at the paths a verdict-index record stores,
+    with a non-object met on the way kept as it is."""
+    share: dict = {}
+    for *parents, last in _STORED:
+        src, dst = doc, share
+        for key in parents:
+            if key not in src:
+                break
+            src = src[key]
+            if type(src) is not dict:
+                dst[key] = src
+                break
+            dst = dst.setdefault(key, {})
+        else:
+            if last in src:
+                dst[last] = src[last]
+    return share
+
+
+def _checked(doc: dict) -> Trace | None:
+    try:
+        return Trace.from_json(doc)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mutations=st.lists(
+        st.tuples(
+            st.sampled_from(
+                [
+                    ("format",),
+                    ("scenario",),
+                    ("scenario_version",),
+                    ("target",),
+                    ("target", "name"),
+                    ("target", "host"),
+                    ("started_at",),
+                    ("duration_ms",),
+                    ("error_code",),
+                    ("results",),
+                    ("results", "versions"),
+                    ("results", "ok"),
+                    ("packets",),
+                    ("notes",),
+                    ("unknown",),
+                ]
+            ),
+            _JSON_VALUES | st.sampled_from([_DROP, 10**30, [-1], [2**40]]),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_the_stored_fields_decide_a_trace_as_the_whole_file_does(mutations):
+    """A verdict-index record stands in for its file only if
+    ``Trace.from_json`` accepts or rejects the record's fields exactly as
+    it does the whole document, and the corpus keeps the same entry of
+    either. A check on another field, or an entry read from another
+    field, fails here until ``_index_fields`` stores that field (and
+    ``_INDEX_FORMAT`` is bumped)."""
+    doc = make_trace(D2, "beta", "version_negotiation", 0, {"versions": [1]}).to_json()
+    for path, value in mutations:
+        *parents, last = path
+        holder = doc
+        for key in parents:
+            holder = holder.get(key) if type(holder) is dict else None
+        if type(holder) is not dict:
+            continue
+        if value is _DROP:
+            holder.pop(last, None)
+        else:
+            holder[last] = value
+    whole = _checked(doc)
+    assert (whole is None) == (_checked(_stored_share(doc)) is None)
+    if whole is not None:
+        stored = _checked(_index_fields(whole))
+        assert stored is not None and _index_fields(stored) == _index_fields(whole)
+        from_file, from_record = RunCorpus(), RunCorpus()
+        from_file.add(whole, "a.json")
+        from_record.add(stored, "a.json")
+        assert entries(from_record) == entries(from_file)
 
 
 class TestMetrics:
