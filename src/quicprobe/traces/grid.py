@@ -24,6 +24,9 @@ def render_grid(corpus: RunCorpus, date: str, corpus_link: str = "") -> tuple[st
     """(html, csv) for one run date. A cell links to the file its trace
     was read from (``CorpusEntry.path``), below ``corpus_link``: the corpus
     root as seen from the HTML file."""
+    # joined and escaped once per grid: html.escape works one character at
+    # a time, so a cell escapes only its own path
+    link = html.escape(posixpath.join(corpus_link, ""))
     by_target = corpus.by_target(date)
     targets = list(by_target)
     scenarios = sorted({name for by_scenario in by_target.values() for name in by_scenario})
@@ -60,7 +63,7 @@ def render_grid(corpus: RunCorpus, date: str, corpus_link: str = "") -> tuple[st
                 )
                 continue
             style = _CELL_STYLES[outcome(entry.error_code)]
-            href = html.escape(posixpath.join(corpus_link, entry.path))
+            href = link + html.escape(entry.path)
             parts.append(
                 f"<td style='border:1px solid #ccc;padding:4px 8px;text-align:center;{style}'>"
                 f"<a style='color:inherit' href='{href}'>{entry.error_code}</a></td>"

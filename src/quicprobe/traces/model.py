@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -20,12 +21,13 @@ from pathlib import Path
 
 TRACE_FORMAT = 1
 INDEX_NAME = ".quicprobe-index"  # in the corpus root; not ``*.json``, so no walk takes it for a trace
-# Bump this when ``_index_fields``, the checks of ``Trace.from_json`` or
-# what ``RunCorpus.add`` keeps of a trace change: records of another
-# format are read as absent, so the next report decodes every trace.
-# tests/test_traces.py checks that a record's fields decide both as the
-# whole trace does.
-_INDEX_FORMAT = 1
+# Bump this when what a record holds or how ``_indexed`` checks it, the
+# checks of ``Trace.from_json`` or what ``RunCorpus.add`` keeps of a trace
+# change: a record holds a verdict, not the fields it came from, so records
+# of another format are read as absent and the next report decodes every
+# trace. tests/test_traces.py checks that a record decides a trace as the
+# whole file does.
+_INDEX_FORMAT = 2
 # A file changed less than this long before a report started can be
 # changed again later in the same clock tick, under the same stamp (git's
 # "racily clean" rule); 2 s covers the coarsest file-system clock.
@@ -241,6 +243,17 @@ class CorpusEntry:
     path: str
 
 
+def _keyed_entry(trace: Trace, path: str | None) -> tuple[tuple[str, str, str], CorpusEntry]:
+    """The key of ``trace``, evaluated once, and what a corpus keeps of it."""
+    date, _, _ = key = trace.key
+    entry = CorpusEntry(
+        error_code=trace.error_code,
+        versions=tuple(trace.results.get("versions") or ()),
+        path=path or f"{date}/{trace_filename(trace)}",
+    )
+    return key, entry
+
+
 class RunCorpus:
     """An index of verdicts by (date, target name, scenario): one
     ``CorpusEntry`` per key, built from the first trace added with that
@@ -266,15 +279,14 @@ class RunCorpus:
         """Index ``trace``, read from ``path`` below the corpus root (else
         where ``write_trace`` puts it); False, indexing nothing, if its key
         is taken."""
-        date, target, scenario = trace.key
+        return self._put(*_keyed_entry(trace, path))
+
+    def _put(self, key: tuple[str, str, str], entry: CorpusEntry) -> bool:
+        date, target, scenario = key
         by_scenario = self._index.setdefault(date, {}).setdefault(target, {})
         if scenario in by_scenario:
             return False
-        by_scenario[scenario] = CorpusEntry(
-            error_code=trace.error_code,
-            versions=tuple(trace.results.get("versions") or ()),
-            path=path or f"{date}/{trace_filename(trace)}",
-        )
+        by_scenario[scenario] = entry
         return True
 
     def path(self, date: str, target: str, scenario: str) -> str:
@@ -301,8 +313,12 @@ def read_trace(path: str | Path) -> Trace:
     as strict UTF-8 (not by ``json.loads``, which would also take a BOM or
     UTF-16), then checked by ``Trace.from_json``."""
     with open(path, "rb", buffering=0) as fh:
-        data = fh.readall()
-    return Trace.from_json(json.loads(data.decode("utf-8")))
+        return _decoded(fh)
+
+
+def _decoded(fh) -> Trace:
+    """The trace in a file opened as ``read_trace`` opens it."""
+    return Trace.from_json(json.loads(fh.readall().decode("utf-8")))
 
 
 def _load_index(path: Path) -> dict:
@@ -319,40 +335,43 @@ def _load_index(path: Path) -> dict:
     return {}
 
 
-def _stamp(path: str, racy_after_ns: int) -> list[int] | None:
-    """The stat stamp of the file at ``path``; None if it cannot be
-    stat'ed or changed after ``racy_after_ns``, so that it is not to be
-    taken from the verdict index nor put in it."""
+def _stamp(file: str | int, racy_after_ns: int) -> list[int] | None:
+    """The stat stamp of a file, given by path or by the descriptor it is
+    read from (``os.stat`` of a descriptor is ``os.fstat``); None if it
+    cannot be stat'ed or changed after ``racy_after_ns``, so that it is
+    not to be taken from the verdict index nor put in it."""
     try:
-        st = os.stat(path)
+        st = os.stat(file)
     except OSError:
-        return None  # read_trace meets the same error and warns about it
+        return None  # opening the file meets the same error and warns about it
     if st.st_ctime_ns > racy_after_ns:
         return None
     return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
 
 
-def _indexed_trace(record, stamp: list[int] | None) -> Trace | None:
-    """The trace a verdict-index record holds, if the record is
-    ``[*stamp, fields]`` and its fields pass ``Trace.from_json``."""
-    if stamp is None or type(record) is not list or len(record) != 5 or record[:4] != stamp:
-        return None
-    try:
-        return Trace.from_json(record[4])
-    except (KeyError, TypeError, ValueError):
-        return None
+# what ``Trace.date`` gives; a report names a grid file after it
+_is_date = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}").fullmatch
 
 
-def _index_fields(trace: Trace) -> dict:
-    """What the corpus index, the metrics and the grid read of a trace, as
-    a document that ``Trace.from_json`` takes."""
-    return {
-        "scenario": trace.scenario,
-        "started_at": trace.started_at,
-        "error_code": trace.error_code,
-        "target": {"name": trace.target_name},
-        "results": {"versions": trace.results.get("versions", [])},
-    }
+def _indexed(record, stamp: list[int] | None, rel: str) -> tuple[tuple[str, str, str], CorpusEntry] | None:
+    """The key and entry of the trace at ``rel`` that a verdict-index
+    record holds, if the record is ``[*stamp, date, target name, scenario,
+    error code, versions]`` and each value has the type and range that
+    ``Trace.from_json`` and ``RunCorpus.add`` would give it."""
+    if stamp is None or type(record) is not list or len(record) != 9 or record[:4] != stamp:
+        return None
+    date, target, scenario, code, versions = record[4:]
+    if (
+        type(date) is str
+        and _is_date(date)
+        and type(target) is str
+        and type(scenario) is str
+        and type(code) is int  # bool is a subclass of int, but JSON true is not a number
+        and type(versions) is list
+        and all(type(v) is int and v in _VERSION_RANGE for v in versions)
+    ):
+        return (date, target, scenario), CorpusEntry(code, tuple(versions), rel)
+    return None
 
 
 def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
@@ -364,7 +383,8 @@ def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
 
     A file whose stat stamp (size, mtime, ctime, inode) matches its record
     in the verdict index, ``root/INDEX_NAME``, is not read: the record's
-    fields stand in for it. Any other file is read by ``read_trace`` and
+    key and entry stand in for it. Any other file is read as ``read_trace``
+    reads it, its stamp taken from the open file before the read, and
     dropped once indexed. The verdict index is then written back if it
     changed, holding each indexed file that changed at least ``_RACY_NS``
     before this call; if it cannot be written, that is one more warning."""
@@ -390,21 +410,25 @@ def read_corpus(root: str | Path) -> tuple[RunCorpus, list[str]]:
     found.sort(key=lambda rel: rel.split(os.sep))
     for rel in found:
         path = prefix + rel
-        stamp = _stamp(path, racy_after_ns)
         record = old.get(rel)
         try:
-            trace = _indexed_trace(record, stamp)
-            if trace is not None:
+            stamp = None if record is None else _stamp(path, racy_after_ns)
+            indexed = _indexed(record, stamp, rel)
+            if indexed is not None:
                 corpus.from_index += 1
             else:
                 corpus.decoded += 1
-                trace = read_trace(path)
+                with open(path, "rb", buffering=0) as fh:
+                    stamp = _stamp(fh.fileno(), racy_after_ns)
+                    trace = _decoded(fh)
+                indexed = _keyed_entry(trace, rel)
                 record = None
-            if not corpus.add(trace, rel):
-                warnings.append(f"{path}: duplicate trace for {trace.key}, keeping the first")
+            key, entry = indexed
+            if not corpus._put(key, entry):
+                warnings.append(f"{path}: duplicate trace for {key}, keeping the first")
             elif stamp is not None:
                 if record is None:
-                    record = [*stamp, _index_fields(trace)]
+                    record = [*stamp, *key, entry.error_code, entry.versions]
                     changed = True
                 new[rel] = record
         except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:

@@ -1,8 +1,22 @@
 """Checks that hold for every test."""
 
+import contextlib
 import threading
+import warnings
 
 import pytest
+from hypothesis import Phase, settings
+
+# When a property fails, Hypothesis's pytest plugin imports its patch writer,
+# which imports libcst, which raises a DeprecationWarning; the warning filters
+# in pyproject.toml make that an error, and pytest ends in INTERNALERROR
+# instead of printing the falsifying example. Import it once here, that
+# warning ignored, and skip the explain phase, which adds nothing readable.
+with contextlib.suppress(ImportError), warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
+settings.register_profile("no_explain", phases=[phase for phase in Phase if phase is not Phase.explain])
+settings.load_profile("no_explain")
 
 
 @pytest.fixture(autouse=True)

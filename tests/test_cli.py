@@ -11,14 +11,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quicprobe.cli import main as quicprobe_main, parse_targets_file
 from quicprobe.faultsrv import FaultSpec, ServerConfig, serve
 from quicprobe.faultsrv import cli as faultsrv_cli
 from quicprobe.faultsrv.cli import main as faultsrv_main
 from quicprobe.scenarios import codes
-from quicprobe.traces import INDEX_NAME, Trace, model, write_trace
+from quicprobe.traces import INDEX_NAME, model, read_trace, write_trace
 
 from .corpus_fixtures import build_synthetic_corpus
 
@@ -369,20 +369,64 @@ def test_report_warns_once_and_goes_on_when_it_cannot_write_the_index(tmp_path, 
     assert (corpus / INDEX_NAME).is_file()
 
 
+def test_report_reads_a_format_1_index_as_absent(tmp_path, monkeypatch):
+    """An index in the format before this one, each record holding the
+    fields ``Trace.from_json`` took, is rebuilt by the next report."""
+    paths = [write_trace(trace, tmp_path / "corpus") for trace in build_synthetic_corpus()]
+    corpus, index, n = tmp_path / "corpus", tmp_path / "corpus" / INDEX_NAME, len(paths)
+    records = {}
+    for path in paths:
+        stat, trace = path.stat(), read_trace(path)
+        fields = {
+            "scenario": trace.scenario,
+            "started_at": trace.started_at,
+            "error_code": trace.error_code,
+            "target": {"name": trace.target_name},
+            "results": {"versions": trace.results.get("versions", [])},
+        }
+        stamp = [stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns, stat.st_ino]
+        records[str(path.relative_to(corpus))] = [*stamp, fields]
+    index.write_text(json.dumps({"format": 1, "traces": records}, separators=(",", ":")))
+    monkeypatch.setattr(model, "_clock_ns", later_clock)
+    counts, files, warnings = report(corpus, tmp_path / "r0")
+    assert counts == read_counts(n, 0, n) and warnings == ""
+    assert json.loads(index.read_bytes())["format"] == 2
+    assert report(corpus, tmp_path / "r1") == (read_counts(n, n, 0), files, "")
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
-_FIELD_PATHS = [
-    ("scenario",),
-    ("started_at",),
-    ("error_code",),
-    ("target",),
-    ("target", "name"),
-    ("results",),
-    ("results", "versions"),
+
+
+# values after the stamp that fail the record check, by their index in a record
+_FAILING = [
+    *[(4, date) for date in (None, 20180501, "", "../x", "2018-5-1", "2018-05-01/..")],
+    *[(5, name) for name in (None, 1, ["alpha"])],
+    *[(6, scenario) for scenario in (None, 1, ["handshake"])],
+    *[(7, code) for code in (True, False, 0.0, 1.5, "0", None)],
+    *[(8, versions) for versions in (None, 1, {}, [True], [1, True], [1.0], ["1"], [2**40], [-1])],
 ]
+
+
+def _failing(record: list):
+    """``record`` with the values after its stamp made to fail the record check."""
+    not_str = _JSON_VALUES.filter(lambda v: type(v) is not str)
+    not_ints = _JSON_VALUES.filter(lambda v: type(v) is not list or any(type(x) is not int for x in v))
+
+    def at(index: int, value) -> list:
+        return [*record[:index], value, *record[index + 1 :]]
+
+    return st.one_of(
+        st.integers(4, 8).map(lambda n: record[:n]),
+        st.lists(_JSON_VALUES, min_size=1, max_size=3).map(lambda extra: record + extra),
+        st.sampled_from(_FAILING).map(lambda failing: at(*failing)),
+        st.tuples(st.integers(4, 6), not_str).map(lambda failing: at(*failing)),
+        st.floats().map(lambda code: at(7, code)),
+        not_ints.map(lambda versions: at(8, versions)),
+    )
 
 
 def _hostile(data, doc: dict, content: bytes) -> bytes:
@@ -393,32 +437,17 @@ def _hostile(data, doc: dict, content: bytes) -> bytes:
     if kind == "truncated":
         return content[: data.draw(st.integers(0, len(content) - 1))]
     if kind == "deep":
-        return b'{"format": 1, "traces": ' + b"[" * 100_000
+        return b'{"format": 2, "traces": ' + b"[" * 100_000
     if kind == "any":
         return json.dumps(data.draw(_JSON_VALUES)).encode()
     if kind == "format":
-        doc["format"] = data.draw(_JSON_VALUES.filter(lambda v: v != 1))
+        doc["format"] = data.draw(_JSON_VALUES.filter(lambda v: v != 2))
     elif kind == "record":
         records[rel] = data.draw(_JSON_VALUES)
     elif kind == "stamp":
-        stamp = records[rel][:4]
-        stamp[data.draw(st.integers(0, 3))] = data.draw(_JSON_VALUES)
-        records[rel] = [*stamp, records[rel][4]]
-    else:  # the stamp matches, the fields fail Trace.from_json
-        *parents, last = data.draw(st.sampled_from(_FIELD_PATHS))
-        holder = records[rel][4]
-        for key in parents:
-            holder = holder[key]
-        if data.draw(st.booleans()):
-            del holder[last]
-        else:
-            holder[last] = data.draw(_JSON_VALUES | st.sampled_from([10**30, [-1], [2**40], True]))
-        try:
-            Trace.from_json(records[rel][4])
-        except (KeyError, TypeError, ValueError):
-            pass
-        else:
-            assume(False)
+        records[rel][data.draw(st.integers(0, 3))] = data.draw(_JSON_VALUES)
+    else:  # the stamp matches, the values after it fail the record check
+        records[rel] = data.draw(_failing(records[rel]))
     # records of paths that no longer exist
     gone = st.sampled_from(["gone.json", "2018-05-01/gone.json", "../x.json"])
     records.update(data.draw(st.dictionaries(gone, _JSON_VALUES)))
@@ -443,3 +472,17 @@ def test_a_hostile_index_changes_no_report_output(data):
         content = index.read_bytes()
         index.write_bytes(_hostile(data, json.loads(content), content))
         assert report(corpus, Path(tmp) / "hostile")[1:] == (cold, warnings)
+
+
+@pytest.mark.parametrize("index, value", _FAILING)
+def test_report_decodes_each_trace_whose_record_fails_the_check(tmp_path, monkeypatch, index, value):
+    for trace in build_synthetic_corpus():
+        write_trace(trace, tmp_path / "corpus")
+    corpus, path = tmp_path / "corpus", tmp_path / "corpus" / INDEX_NAME
+    monkeypatch.setattr(model, "_clock_ns", later_clock)
+    counts, cold, _ = report(corpus, tmp_path / "cold")
+    doc = json.loads(path.read_bytes())
+    for record in doc["traces"].values():
+        record[index] = value
+    path.write_text(json.dumps(doc))
+    assert report(corpus, tmp_path / "failing") == (counts, cold, "")

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quicprobe.traces import (
     CorpusEntry,
@@ -23,7 +25,7 @@ from quicprobe.traces import (
     render_grid,
     write_trace,
 )
-from quicprobe.traces.model import _index_fields
+from quicprobe.traces import model
 
 from .corpus_fixtures import (
     D1,
@@ -273,36 +275,10 @@ def test_a_mutated_trace_is_indexed_or_named_in_one_warning(path, value):
             render_grid(loaded, date)
 
 
-def _leaf_paths(doc: dict, parents: tuple = ()) -> list[tuple]:
-    return [
-        leaf
-        for key, value in doc.items()
-        for leaf in (_leaf_paths(value, (*parents, key)) if type(value) is dict else [(*parents, key)])
-    ]
-
-
-# the fields a verdict-index record stores, as paths into a trace document
-_STORED = _leaf_paths(_index_fields(make_trace(D1, "alpha", "handshake", 0)))
-
-
-def _stored_share(doc: dict) -> dict:
-    """The share of ``doc`` at the paths a verdict-index record stores,
-    with a non-object met on the way kept as it is."""
-    share: dict = {}
-    for *parents, last in _STORED:
-        src, dst = doc, share
-        for key in parents:
-            if key not in src:
-                break
-            src = src[key]
-            if type(src) is not dict:
-                dst[key] = src
-                break
-            dst = dst.setdefault(key, {})
-        else:
-            if last in src:
-                dst[last] = src[last]
-    return share
+def _later_clock() -> int:
+    """The report's clock, 10 s ahead: a trace written just now is old
+    enough to go into the verdict index."""
+    return time.time_ns() + 10_000_000_000
 
 
 def _checked(doc: dict) -> Trace | None:
@@ -341,13 +317,20 @@ def _checked(doc: dict) -> Trace | None:
         max_size=3,
     )
 )
+# the edges of each value a record holds, which random mutations rarely reach
+@example(mutations=[(("started_at",), -62_135_596_800_000)])  # 0001-01-01
+@example(mutations=[(("started_at",), 253_402_300_799_999)])  # 9999-12-31
+@example(mutations=[(("target", "name"), ""), (("scenario",), "")])
+@example(mutations=[(("error_code",), -(10**30))])
+@example(mutations=[(("results", "versions"), [0, 0xFFFF_FFFF])])
 def test_the_stored_fields_decide_a_trace_as_the_whole_file_does(mutations):
-    """A verdict-index record stands in for its file only if
-    ``Trace.from_json`` accepts or rejects the record's fields exactly as
-    it does the whole document, and the corpus keeps the same entry of
-    either. A check on another field, or an entry read from another
-    field, fails here until ``_index_fields`` stores that field (and
-    ``_INDEX_FORMAT`` is bumped)."""
+    """A verdict-index record stands in for its file only if the record
+    check accepts the record of every document that ``Trace.from_json``
+    accepts, after the record's trip through the index file, and the
+    record gives the key and entry that ``RunCorpus.add`` makes of the
+    whole trace. An entry read from a field the record does not hold, or
+    a record check stricter than ``from_json``, fails here until the
+    record holds that field (and ``_INDEX_FORMAT`` is bumped)."""
     doc = make_trace(D2, "beta", "version_negotiation", 0, {"versions": [1]}).to_json()
     for path, value in mutations:
         *parents, last = path
@@ -360,15 +343,23 @@ def test_the_stored_fields_decide_a_trace_as_the_whole_file_does(mutations):
             holder.pop(last, None)
         else:
             holder[last] = value
-    whole = _checked(doc)
-    assert (whole is None) == (_checked(_stored_share(doc)) is None)
-    if whole is not None:
-        stored = _checked(_index_fields(whole))
-        assert stored is not None and _index_fields(stored) == _index_fields(whole)
-        from_file, from_record = RunCorpus(), RunCorpus()
-        from_file.add(whole, "a.json")
-        from_record.add(stored, "a.json")
-        assert entries(from_record) == entries(from_file)
+    text = json.dumps(doc)
+    whole = _checked(json.loads(text))
+    rel = os.path.join("d", "a.json")
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(model, "_clock_ns", _later_clock):
+        os.mkdir(os.path.join(root, "d"))
+        with open(os.path.join(root, rel), "w") as fh:
+            fh.write(text)
+        first, first_warnings = read_corpus(root)
+        again, again_warnings = read_corpus(root)
+    if whole is None:
+        assert (len(first_warnings), len(again_warnings), again.decoded) == (1, 1, 1)
+        return
+    from_file = RunCorpus()
+    from_file.add(whole, rel)
+    assert first_warnings == again_warnings == []
+    assert (first.decoded, again.from_index) == (1, 1)
+    assert entries(again) == entries(first) == entries(from_file)
 
 
 class TestMetrics:
