@@ -24,6 +24,7 @@ postprocess rule is exercised:
   versions: alpha [1], delta [1] -> v1: 2 endpoints; tested = 2
 """
 
+import time
 from datetime import datetime, timezone
 
 from quicprobe.traces import Trace
@@ -120,3 +121,9 @@ EXPECTED_OUTCOMES = [
 ]
 # grid on D3: delta succeeded exactly two scenarios (vn, tp)
 EXPECTED_DELTA_D3_SUCCESS_CELLS = 2
+
+
+def later_clock() -> int:
+    """The report's clock, 10 s ahead: a trace written just now is old
+    enough to go into the verdict index."""
+    return time.time_ns() + 10_000_000_000

@@ -6,7 +6,6 @@ import json
 import os
 import re
 import tempfile
-import time
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +19,7 @@ from quicprobe.faultsrv.cli import main as faultsrv_main
 from quicprobe.scenarios import codes
 from quicprobe.traces import INDEX_NAME, model, read_trace, write_trace
 
-from .corpus_fixtures import build_synthetic_corpus
+from .corpus_fixtures import build_synthetic_corpus, later_clock
 
 
 @pytest.fixture
@@ -244,12 +243,6 @@ def test_report_warning_names_the_reason_not_the_bytes(tmp_path, capsys):
 def test_report_skips_a_too_deeply_nested_trace(tmp_path, capsys):
     warnings = report_warnings(tmp_path, capsys, "deep.json", b"[" * 100_000)
     assert len(warnings) == 1 and "deep.json: RecursionError" in warnings[0]
-
-
-def later_clock() -> int:
-    """The report's clock, 10 s ahead: a trace written just now is old
-    enough to go into the verdict index."""
-    return time.time_ns() + 10_000_000_000
 
 
 def report(corpus: Path, out: Path) -> tuple[str, dict[str, bytes], str]:

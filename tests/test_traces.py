@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -36,6 +35,7 @@ from .corpus_fixtures import (
     EXPECTED_TESTED,
     EXPECTED_VERSIONS_ROWS,
     build_synthetic_corpus,
+    later_clock,
     make_trace,
 )
 
@@ -275,12 +275,6 @@ def test_a_mutated_trace_is_indexed_or_named_in_one_warning(path, value):
             render_grid(loaded, date)
 
 
-def _later_clock() -> int:
-    """The report's clock, 10 s ahead: a trace written just now is old
-    enough to go into the verdict index."""
-    return time.time_ns() + 10_000_000_000
-
-
 def _checked(doc: dict) -> Trace | None:
     try:
         return Trace.from_json(doc)
@@ -346,7 +340,7 @@ def test_the_stored_fields_decide_a_trace_as_the_whole_file_does(mutations):
     text = json.dumps(doc)
     whole = _checked(json.loads(text))
     rel = os.path.join("d", "a.json")
-    with tempfile.TemporaryDirectory() as root, mock.patch.object(model, "_clock_ns", _later_clock):
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(model, "_clock_ns", later_clock):
         os.mkdir(os.path.join(root, "d"))
         with open(os.path.join(root, rel), "w") as fh:
             fh.write(text)
