@@ -15,6 +15,7 @@ import time
 
 from ..protection import (
     AEAD_TAG_LEN,
+    LEVEL_FOR_PACKET_TYPE,
     DecryptError,
     EncryptionLevel,
     cleartext_packet_bytes,
@@ -28,25 +29,20 @@ from ..wire import (
     CryptoFrame,
     MaxDataFrame,
     MaxStreamDataFrame,
+    PacketType,
     PaddingFrame,
     ParseError,
     StreamDataBlockedFrame,
     StreamFrame,
     is_ack_eliciting,
     lenient_decode_tp,
+    packet_type_of,
     parse_frames,
     parse_header,
     serialize_frame,
 )
 from .connection import MAX_DATAGRAM_SIZE, INITIAL_DATAGRAM_MIN, RETRANSMISSION_TIMER_MS, Packet
 from .streams import StreamRecv
-
-_LONG_TYPE_LEVELS = (
-    EncryptionLevel.INITIAL,
-    EncryptionLevel.ZERO_RTT,
-    EncryptionLevel.HANDSHAKE,
-)
-
 
 class Agent:
     """The hooks a connection calls; each is a no-op until overridden."""
@@ -77,28 +73,24 @@ class ParserAgent(Agent):
     name = "parser"
 
     def datagram(self, conn, data: bytes) -> None:
-        first = data[0]
-        if first & 0x80:
-            version = int.from_bytes(data[1:5], "big") if len(data) >= 5 else None
-            if version == 0:
-                try:
-                    header, _ = parse_header(data)
-                except ParseError as exc:
-                    # a broken negotiation reply is evidence, not silence
-                    conn.malformed_version_negotiation = str(exc)
-                    conn.trace.note("malformed_version_negotiation", str(exc))
-                    return
-                conn.version_negotiation = header
-                conn.trace.log_packet("rx", "none", data, len(conn.scid))
+        packet_type = packet_type_of(data)
+        if packet_type is PacketType.VERSION_NEGOTIATION:
+            try:
+                header, _ = parse_header(data)
+            except ParseError as exc:
+                # a broken negotiation reply is evidence, not silence
+                conn.malformed_version_negotiation = str(exc)
+                conn.trace.note("malformed_version_negotiation", str(exc))
                 return
-            packet_type = (first & 0x30) >> 4
-            if packet_type == 3:
-                self._retry(conn, data)
-                return
-            level = _LONG_TYPE_LEVELS[packet_type]
-        else:
-            level = EncryptionLevel.ONE_RTT
-
+            conn.version_negotiation = header
+            conn.trace.log_packet("rx", "none", data, len(conn.scid))
+            return
+        if packet_type is PacketType.RETRY:
+            self._retry(conn, data)
+            return
+        # without keys for its level a packet is undecryptable, whatever
+        # the rest of its header holds
+        level = LEVEL_FOR_PACKET_TYPE[packet_type]
         keys = conn.recv_keys(level)
         if keys is None:
             conn.note_decrypt_failure(level, data)

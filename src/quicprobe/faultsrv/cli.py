@@ -50,7 +50,9 @@ def main(argv: list[str] | None = None) -> int:
         pass
     finally:
         server.stop()
-    return 0
+    for error in server.errors:
+        print(f"faultsrv: {error}", file=sys.stderr)
+    return 1 if server.errors else 0
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..protection import (
+    LEVEL_FOR_PACKET_TYPE,
     SPACE_FOR_LEVEL,
     DecryptError,
     EncryptionLevel,
@@ -46,12 +47,12 @@ from ..wire import (
     StreamDataBlockedFrame,
     StreamFrame,
     TransportParameters,
-    decode_varint,
     encode_transport_parameters,
     encode_varint,
     is_ack_eliciting,
     lenient_decode_tp,
     parse_frames,
+    read_header,
     serialize_frames,
     serialize_header,
 )
@@ -143,7 +144,7 @@ class _ServerConn:
         self.fault = server.config.fault
         self.addr = addr
         self.client_scid = client_scid
-        self.scid = server_scid(self.config.seed)
+        self.scid = server.scid
         self.last_seen = time.monotonic()
 
         client_km, server_km = derive_initial_keys(original_dcid)
@@ -420,36 +421,6 @@ class _ServerConn:
             self.server.sendto(datagram, self.addr)
 
 
-def _peek_long_header(data: bytes) -> tuple[int, bytes, bytes] | None:
-    """(version, dcid, scid) read with the version-invariant layout."""
-    if len(data) < 7:
-        return None
-    version = int.from_bytes(data[1:5], "big")
-    pos = 5
-    dcid_len = data[pos]
-    pos += 1
-    if pos + dcid_len + 1 > len(data):
-        return None
-    dcid = data[pos : pos + dcid_len]
-    pos += dcid_len
-    scid_len = data[pos]
-    pos += 1
-    if pos + scid_len > len(data):
-        return None
-    scid = data[pos : pos + scid_len]
-    return version, dcid, scid
-
-
-def _initial_token(data: bytes, dcid: bytes, scid: bytes) -> bytes:
-    """The token of a long-header Initial whose cids were peeked."""
-    pos = 7 + len(dcid) + len(scid)
-    try:
-        length, used, _ = decode_varint(data, pos)
-    except ParseError:
-        return b""
-    return data[pos + used : pos + used + length]
-
-
 class FaultServer:
     """Runs the responder in a background thread that sleeps until a
     datagram arrives or stop() wakes it."""
@@ -466,6 +437,7 @@ class FaultServer:
             self.tp_blob += (
                 encode_varint(0x04) + encode_varint(len(encode_varint(65_536))) + encode_varint(65_536)
             )
+        self.scid = server_scid(config.seed)
         self.sock: socket.socket | None = None
         # keyed by client address, not by connection ID: every _ServerConn
         # takes the same SCID from the seed (RFC 9000 section 5.2 matching)
@@ -552,30 +524,27 @@ class FaultServer:
                     self.errors.append(repr(exc))
 
     def _handle_datagram(self, data: bytes, addr) -> None:
-        if not data:
+        try:
+            header, _, _ = read_header(data, len(self.scid))
+        except ParseError:
             return
-        first = data[0]
-        if first & 0x80:
-            peeked = _peek_long_header(data)
-            if peeked is None:
-                return
-            version, dcid, scid = peeked
-            if version != QUIC_V1:
-                self._answer_version_negotiation(version, dcid, scid, addr)
-                return
-            packet_type = (first & 0x30) >> 4
-            if packet_type == 0:  # initial
-                conn = self.conns.get(addr)
-                if conn is None or conn.client_scid != scid:
-                    if self._answer_retry(data, dcid, scid, addr):
-                        return
-                    self._drop_idle()
-                    self.conns[addr] = _ServerConn(self, addr, original_dcid=dcid, client_scid=scid)
-                level = EncryptionLevel.INITIAL
-            else:
-                level = EncryptionLevel.ZERO_RTT if packet_type == 1 else EncryptionLevel.HANDSHAKE
-        else:
-            level = EncryptionLevel.ONE_RTT
+        if header.packet_type is PacketType.VERSION_NEGOTIATION:
+            return  # never answered (RFC 8999 section 6)
+        if header.version != QUIC_V1:
+            self._answer_version_negotiation(header, addr)
+            return
+        level = LEVEL_FOR_PACKET_TYPE.get(header.packet_type)
+        if level is None:
+            return  # a Retry: only servers send them
+        if level is EncryptionLevel.INITIAL:
+            conn = self.conns.get(addr)
+            if conn is None or conn.client_scid != header.scid:
+                if self._answer_retry(header, addr):
+                    return
+                self._drop_idle()
+                self.conns[addr] = _ServerConn(
+                    self, addr, original_dcid=header.dcid, client_scid=header.scid
+                )
         conn = self.conns.get(addr)
         if conn is None:
             return
@@ -593,35 +562,35 @@ class FaultServer:
         for addr in [a for a, c in self.conns.items() if now - c.last_seen > self.idle_timeout_s]:
             del self.conns[addr]
 
-    def _answer_retry(self, data: bytes, dcid: bytes, scid: bytes, addr) -> bool:
+    def _answer_retry(self, hello: PacketHeader, addr) -> bool:
         """Send Retry instead of starting a connection, if the server is
         busy and the client hello carries no token of ours."""
         limit = self.config.retry_above
-        if limit is None or _initial_token(data, dcid, scid).startswith(RETRY_TOKEN_PREFIX):
+        if limit is None or hello.token.startswith(RETRY_TOKEN_PREFIX):
             return False
         if sum(1 for c in self.conns.values() if not c.provider.handshake_complete) < limit:
             return False
         header = PacketHeader(
             packet_type=PacketType.RETRY,
-            dcid=scid,
-            scid=server_scid(self.config.seed),
-            token=RETRY_TOKEN_PREFIX + dcid,
+            dcid=hello.scid,
+            scid=self.scid,
+            token=RETRY_TOKEN_PREFIX + hello.dcid,
         )
         body = serialize_header(header)
-        datagram = body + retry_integrity_tag(body, dcid)
+        datagram = body + retry_integrity_tag(body, hello.dcid)
         self.log_sent(EncryptionLevel.INITIAL, datagram, corrupted=False)
         self.sendto(datagram, addr)
         return True
 
-    def _answer_version_negotiation(self, version: int, dcid: bytes, scid: bytes, addr) -> None:
+    def _answer_version_negotiation(self, probe: PacketHeader, addr) -> None:
         fault = self.config.fault
         if fault.active("vn_silent"):
             return
-        versions = [version, QUIC_V1] if fault.active("vn_echo_reserved") else [QUIC_V1]
+        versions = [probe.version, QUIC_V1] if fault.active("vn_echo_reserved") else [QUIC_V1]
         header = PacketHeader(
             packet_type=PacketType.VERSION_NEGOTIATION,
-            dcid=scid,  # echo the client's cids, swapped
-            scid=dcid,
+            dcid=probe.scid,  # echo the client's cids, swapped
+            scid=probe.dcid,
             supported_versions=versions,
         )
         datagram = serialize_header(header)

@@ -19,9 +19,15 @@ from cryptography.hazmat.primitives.ciphers import Cipher, CipherContext, algori
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDFExpand
 
-from ..wire import QUIC_V1, PacketHeader, PacketType, parse_header, serialize_header
+from ..wire import (
+    QUIC_V1,
+    PacketHeader,
+    PacketType,
+    check_first_byte,
+    read_header,
+    serialize_header,
+)
 from ..wire.errors import TruncationError
-from ..wire.varint import decode_varint
 
 INITIAL_SALT_V1 = bytes.fromhex("38762cf7f55934b34d179ae6a4c80cadccbb7f0a")
 # RFC 9001 section 5.8: fixed key and nonce of the Retry integrity tag
@@ -225,27 +231,26 @@ def unprotect(
     Returns the header (packet number already widened against
     ``largest_pn``) and the plaintext payload.
     """
-    pn_offset, fields = _locate_pn(buf, short_dcid_len)
+    header, pn_offset, end = read_header(buf, short_dcid_len)
+    if header.version != QUIC_V1:
+        # the version is part of the AEAD's associated data: no version 1
+        # keys open it, and its layout past the connection ids is unknown
+        raise DecryptError(f"no keys for QUIC version 0x{header.version:08x}")
     if pn_offset + 4 + HP_SAMPLE_LEN > len(buf):
         raise TruncationError("packet too short for header protection sample", offset=pn_offset)
+    if end > len(buf):
+        raise TruncationError("declared length exceeds datagram", offset=pn_offset)
     sample = buf[pn_offset + 4 : pn_offset + 4 + HP_SAMPLE_LEN]
     mask = keys.hp_encryptor.update(sample)
 
     packet = bytearray(buf)
-    is_long = bool(buf[0] & 0x80)
-    packet[0] ^= mask[0] & (0x0F if is_long else 0x1F)
+    packet[0] ^= mask[0] & (0x0F if header.is_long else 0x1F)
     pn_length = (packet[0] & 0x03) + 1
     for i in range(pn_length):
         packet[pn_offset + i] ^= mask[1 + i]
     truncated = int.from_bytes(packet[pn_offset : pn_offset + pn_length], "big")
     packet_number = decode_packet_number(truncated, pn_length * 8, largest_pn)
 
-    if is_long:
-        end = pn_offset + fields["length"]
-        if end > len(buf):
-            raise TruncationError("declared length exceeds datagram", offset=pn_offset)
-    else:
-        end = len(buf)
     aad = bytes(packet[: pn_offset + pn_length])
     ciphertext = bytes(packet[pn_offset + pn_length : end])
     nonce = _nonce(keys.iv, packet_number)
@@ -254,30 +259,7 @@ def unprotect(
     except InvalidTag:
         raise DecryptError(f"AEAD authentication failed for {keys.level.label} packet")
 
-    header, _ = parse_header(aad, short_dcid_len=short_dcid_len)
+    check_first_byte(header, packet[0])
     header.packet_number = packet_number
+    header.pn_length = pn_length
     return header, plaintext
-
-
-def _locate_pn(buf: bytes, short_dcid_len: int) -> tuple[int, dict]:
-    """Find the packet number offset without touching protected bits."""
-    if not buf:
-        raise TruncationError("empty packet", offset=0)
-    if not buf[0] & 0x80:
-        return 1 + short_dcid_len, {}
-    pos = 1 + 4
-    if pos >= len(buf):
-        raise TruncationError("truncated long header", offset=pos)
-    dcid_len = buf[pos]
-    pos += 1 + dcid_len
-    if pos >= len(buf):
-        raise TruncationError("truncated dcid", offset=pos)
-    scid_len = buf[pos]
-    pos += 1 + scid_len
-    packet_type = (buf[0] & 0x30) >> 4
-    if packet_type == 0:  # initial: token
-        token_len, used, _ = decode_varint(buf, pos)
-        pos += used + token_len
-    length, used, _ = decode_varint(buf, pos)
-    pos += used
-    return pos, {"length": length}

@@ -1,10 +1,13 @@
 """Long and short packet headers, including version negotiation.
 
-``parse_header`` expects cleartext bytes, i.e. packets whose header
-protection has already been removed (or was never applied, as for
-version negotiation). The packet number field holds the value as it
-appears on the wire; widening a truncated number back to the full
-packet number needs receive state and lives with packet protection.
+``read_header`` is the one reader of a packet's public header, the part
+header protection leaves readable; it takes protected or cleartext
+bytes. ``parse_header`` expects cleartext bytes, i.e. packets whose
+header protection has already been removed (or was never applied, as
+for version negotiation), and adds the fixed and reserved bits and the
+packet number. The packet number field holds the value as it appears on
+the wire; widening a truncated number back to the full packet number
+needs receive state and lives with packet protection.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ QUIC_V1 = 0x00000001
 ConnectionID = bytes
 
 
-def check_connection_id(cid: bytes) -> bytes:
-    if len(cid) > 20:
+def check_connection_id(cid: bytes, limit: int = 20) -> bytes:
+    if len(cid) > limit:
         raise SerializeError(f"connection id too long: {len(cid)} bytes")
     return cid
 
@@ -63,8 +66,11 @@ class PacketHeader:
 
 
 def serialize_header(header: PacketHeader) -> bytes:
-    check_connection_id(header.dcid)
-    check_connection_id(header.scid)
+    # a Version Negotiation packet echoes connection ids of any version,
+    # which RFC 8999 section 5.1 allows up to 255 bytes
+    limit = 255 if header.packet_type is PacketType.VERSION_NEGOTIATION else 20
+    check_connection_id(header.dcid, limit)
+    check_connection_id(header.scid, limit)
     if header.packet_type is PacketType.VERSION_NEGOTIATION:
         out = bytearray([0xC0])
         out += struct.pack(">I", 0)
@@ -97,123 +103,122 @@ def serialize_header(header: PacketHeader) -> bytes:
     return bytes([first]) + bytes(out)
 
 
+def packet_type_of(buf: bytes) -> PacketType:
+    """The type a version 1 endpoint reads from a packet's first byte and
+    version field alone: a short header is 1-RTT, version 0 is Version
+    Negotiation, and any other long header, even one cut short of its
+    version, has the type its type bits name."""
+    if not buf:
+        raise TruncationError("empty packet", offset=0)
+    if not buf[0] & 0x80:
+        return PacketType.ONE_RTT
+    if buf[1:5] == b"\x00\x00\x00\x00":
+        return PacketType.VERSION_NEGOTIATION
+    return _LONG_TYPE_FROM_BITS[(buf[0] & 0x30) >> 4]
+
+
+def read_header(buf: bytes, short_dcid_len: int = 8) -> tuple[PacketHeader, int, int]:
+    """Read what header protection leaves readable of the packet that
+    starts ``buf``, protected or not.
+
+    Returns the header, the offset of its packet number field and the
+    offset where the packet ends. A long header has the invariants of
+    RFC 8999; a version 1 one adds its type, the Initial token and the
+    Length field, so it ends ``length`` bytes past its packet number
+    offset, which may lie past ``buf`` when it holds only a header. A
+    short header takes ``short_dcid_len`` for its connection id and runs
+    to the end of ``buf``. Version Negotiation (with its version list),
+    Retry (with its token and integrity tag as ``token``) and other
+    versions have no packet number: both offsets are ``len(buf)``.
+
+    Neither the packet number nor its length is read: header protection
+    hides them, and ``packet_number``/``pn_length`` keep their defaults.
+    """
+    packet_type = packet_type_of(buf)
+    if packet_type is PacketType.ONE_RTT:
+        pos = 1 + short_dcid_len
+        _need(buf, 1, short_dcid_len, "dcid")
+        return PacketHeader(packet_type=packet_type, dcid=buf[1:pos]), pos, len(buf)
+
+    _need(buf, 1, 4, "version")
+    version = int.from_bytes(buf[1:5], "big")
+    # RFC 9000 section 17.2 limits version 1 connection ids to 20 bytes
+    limit = 20 if version == QUIC_V1 else 255
+    dcid, pos = _read_cid(buf, 5, limit, "dcid")
+    scid, pos = _read_cid(buf, pos, limit, "scid")
+    header = PacketHeader(packet_type=packet_type, version=version, dcid=dcid, scid=scid)
+
+    if packet_type is PacketType.VERSION_NEGOTIATION:
+        if (len(buf) - pos) % 4 != 0:
+            raise ParseError("version list not a multiple of 4 bytes", offset=pos)
+        header.supported_versions = [
+            int.from_bytes(buf[at : at + 4], "big") for at in range(pos, len(buf), 4)
+        ]
+        return header, len(buf), len(buf)
+    if version != QUIC_V1:
+        return header, len(buf), len(buf)
+
+    if packet_type is PacketType.INITIAL:
+        token_len, used, _ = decode_varint(buf, pos)
+        pos += used
+        _need(buf, pos, token_len, "token")
+        header.token = buf[pos : pos + token_len]
+        pos += token_len
+    elif packet_type is PacketType.RETRY:
+        if len(buf) - pos < 16:
+            raise TruncationError("retry packet shorter than integrity tag", offset=pos)
+        header.token = buf[pos:]
+        return header, len(buf), len(buf)
+
+    header.length, used, _ = decode_varint(buf, pos)
+    pos += used
+    return header, pos, pos + header.length
+
+
+def _read_cid(buf: bytes, pos: int, limit: int, name: str) -> tuple[bytes, int]:
+    """A connection id and its length byte at ``pos``, and the offset past it."""
+    if pos >= len(buf):
+        raise TruncationError(f"truncated {name} length", offset=pos)
+    end = pos + 1 + buf[pos]
+    if buf[pos] > limit:
+        raise ParseError(f"{name} length {buf[pos]} exceeds {limit}", offset=pos)
+    if end > len(buf):
+        raise TruncationError(f"truncated {name}", offset=pos + 1)
+    return buf[pos + 1 : end], end
+
+
+def check_first_byte(header: PacketHeader, first: int) -> None:
+    """The checks RFC 9000 section 17 makes of a version 1 first byte with
+    header protection removed: the fixed bit is set and, in packets with a
+    packet number, the reserved bits are clear."""
+    if not first & 0x40:
+        raise ParseError("fixed bit is zero", offset=0)
+    if header.packet_type is PacketType.RETRY:
+        return
+    if header.is_long and first & 0x0C:
+        raise ParseError("reserved bits set in long header", offset=0)
+    if not header.is_long and first & 0x18:
+        raise ParseError("reserved bits set in short header", offset=0)
+
+
 def parse_header(buf: bytes, short_dcid_len: int = 8) -> tuple[PacketHeader, int]:
     """Parse one cleartext header, returning it and the payload offset.
 
     ``short_dcid_len`` supplies the connection id length for short
     headers, which do not encode it.
     """
-    if not buf:
-        raise TruncationError("empty packet", offset=0)
-    first = buf[0]
-    if first & 0x80:
-        return _parse_long(buf)
-    return _parse_short(buf, short_dcid_len)
+    header, pn_offset, _ = read_header(buf, short_dcid_len)
+    if header.version != QUIC_V1:
+        return header, pn_offset
+    check_first_byte(header, buf[0])
+    if header.packet_type is PacketType.RETRY:
+        return header, pn_offset
+    header.pn_length = (buf[0] & 0x03) + 1
+    _need(buf, pn_offset, header.pn_length, "packet number")
+    header.packet_number = int.from_bytes(buf[pn_offset : pn_offset + header.pn_length], "big")
+    return header, pn_offset + header.pn_length
 
 
 def _need(buf: bytes, pos: int, count: int, what: str) -> None:
     if pos + count > len(buf):
         raise TruncationError(f"truncated {what}", offset=pos)
-
-
-def _parse_long(buf: bytes) -> tuple[PacketHeader, int]:
-    first = buf[0]
-    _need(buf, 1, 4, "version")
-    version = struct.unpack(">I", buf[1:5])[0]
-    pos = 5
-    _need(buf, pos, 1, "dcid length")
-    dcid_len = buf[pos]
-    pos += 1
-    if dcid_len > 20:
-        raise ParseError(f"dcid length {dcid_len} exceeds 20", offset=pos - 1)
-    _need(buf, pos, dcid_len, "dcid")
-    dcid = buf[pos : pos + dcid_len]
-    pos += dcid_len
-    _need(buf, pos, 1, "scid length")
-    scid_len = buf[pos]
-    pos += 1
-    if scid_len > 20:
-        raise ParseError(f"scid length {scid_len} exceeds 20", offset=pos - 1)
-    _need(buf, pos, scid_len, "scid")
-    scid = buf[pos : pos + scid_len]
-    pos += scid_len
-
-    if version == 0:
-        versions = []
-        if (len(buf) - pos) % 4 != 0:
-            raise ParseError("version list not a multiple of 4 bytes", offset=pos)
-        while pos < len(buf):
-            versions.append(struct.unpack(">I", buf[pos : pos + 4])[0])
-            pos += 4
-        header = PacketHeader(
-            packet_type=PacketType.VERSION_NEGOTIATION,
-            version=0,
-            dcid=dcid,
-            scid=scid,
-            supported_versions=versions,
-        )
-        return header, pos
-
-    if not first & 0x40:
-        raise ParseError("fixed bit is zero", offset=0)
-    packet_type = _LONG_TYPE_FROM_BITS[(first & 0x30) >> 4]
-
-    token = b""
-    if packet_type is PacketType.INITIAL:
-        token_len, used, _ = decode_varint(buf, pos)
-        pos += used
-        _need(buf, pos, token_len, "token")
-        token = buf[pos : pos + token_len]
-        pos += token_len
-
-    if packet_type is PacketType.RETRY:
-        if len(buf) - pos < 16:
-            raise TruncationError("retry packet shorter than integrity tag", offset=pos)
-        token = buf[pos:]
-        header = PacketHeader(
-            packet_type=PacketType.RETRY, version=version, dcid=dcid, scid=scid, token=token
-        )
-        return header, len(buf)
-
-    if first & 0x0C:
-        raise ParseError("reserved bits set in long header", offset=0)
-    length, used, _ = decode_varint(buf, pos)
-    pos += used
-    pn_length = (first & 0x03) + 1
-    _need(buf, pos, pn_length, "packet number")
-    packet_number = int.from_bytes(buf[pos : pos + pn_length], "big")
-    pos += pn_length
-    header = PacketHeader(
-        packet_type=packet_type,
-        version=version,
-        dcid=dcid,
-        scid=scid,
-        token=token,
-        length=length,
-        packet_number=packet_number,
-        pn_length=pn_length,
-    )
-    return header, pos
-
-
-def _parse_short(buf: bytes, short_dcid_len: int) -> tuple[PacketHeader, int]:
-    first = buf[0]
-    if not first & 0x40:
-        raise ParseError("fixed bit is zero", offset=0)
-    if first & 0x18:
-        raise ParseError("reserved bits set in short header", offset=0)
-    pos = 1
-    _need(buf, pos, short_dcid_len, "dcid")
-    dcid = buf[pos : pos + short_dcid_len]
-    pos += short_dcid_len
-    pn_length = (first & 0x03) + 1
-    _need(buf, pos, pn_length, "packet number")
-    packet_number = int.from_bytes(buf[pos : pos + pn_length], "big")
-    pos += pn_length
-    header = PacketHeader(
-        packet_type=PacketType.ONE_RTT,
-        dcid=dcid,
-        packet_number=packet_number,
-        pn_length=pn_length,
-    )
-    return header, pos

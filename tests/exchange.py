@@ -9,6 +9,8 @@ handshake seed are fixed, so every run sends the same bytes.
 
 from __future__ import annotations
 
+import socket
+
 from quicprobe.conn import FULL_ROSTER, Connection
 from quicprobe.faultsrv import FaultServer, ServerConfig
 from quicprobe.protection import NullHandshakeProvider
@@ -24,9 +26,13 @@ CLIENT_SCID = bytes.fromhex("c1c2c3c4c5c6c7c8")
 
 class Exchange:
     """A client connection and a server that reach each other only through
-    the ``to_server`` and ``to_client`` lists."""
+    the ``to_server`` and ``to_client`` lists. The client's socket is
+    connected to a bound socket that never answers; ``stop`` closes both."""
 
-    def __init__(self, peer, version: int = QUIC_V1, **server_config):
+    def __init__(self, version: int = QUIC_V1, **server_config):
+        self._peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._peer.bind(("127.0.0.1", 0))
+        peer = self._peer.getsockname()
         self.to_server: list[bytes] = []
         self.to_client: list[bytes] = []
         self.server = FaultServer(ServerConfig(seed=SEED, **server_config))
@@ -68,3 +74,14 @@ class Exchange:
 
     def stop(self) -> None:
         self.conn.stop()
+        self._peer.close()
+
+
+def grow_cid(datagram: bytes, field: str, size: int) -> bytes:
+    """A long-header datagram with its 8-byte ``field`` ("dcid" or
+    "scid") padded to ``size`` bytes and its length byte to match: the
+    header stays well formed, the protection no longer fits it."""
+    at = 5 if field == "dcid" else 6 + datagram[5]
+    assert datagram[at] == 8
+    cid = datagram[at + 1 : at + 9] + b"\x5a" * (size - 8)
+    return datagram[:at] + bytes([size]) + cid + datagram[at + 9 :]

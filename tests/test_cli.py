@@ -6,18 +6,22 @@ import json
 import os
 import re
 import tempfile
+import time
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quicprobe.cli import main as quicprobe_main, parse_targets_file
+from quicprobe.conn import Connection
 from quicprobe.faultsrv import FaultSpec, ServerConfig, serve
 from quicprobe.faultsrv import cli as faultsrv_cli
 from quicprobe.faultsrv.cli import main as faultsrv_main
+from quicprobe.protection import NullHandshakeProvider
 from quicprobe.scenarios import codes
-from quicprobe.traces import INDEX_NAME, model, read_trace, write_trace
+from quicprobe.traces import INDEX_NAME, TraceBuilder, model, read_trace, write_trace
 
 from .corpus_fixtures import build_synthetic_corpus, later_clock
 
@@ -192,6 +196,39 @@ def test_faultsrv_rejects_out_of_range_listen_port(capsys, monkeypatch, listen):
         faultsrv_main(["--listen", listen])
     assert exc_info.value.code == 2
     assert "0-65535" in capsys.readouterr().err
+
+
+def test_faultsrv_prints_the_servers_errors_and_fails(capsys, monkeypatch):
+    served = []
+
+    def serve_on_any_port(config):
+        served.append(serve(config))
+        return served[0]
+
+    class HelloOfAnotherSeed:
+        """Stands in for the wait until Ctrl-C: sends one client hello of
+        handshake seed 1, which the server's provider rejects, then
+        interrupts once the server has recorded the error."""
+
+        def wait(self):
+            server = served[0]
+            provider = NullHandshakeProvider(seed=1, is_client=True)
+            conn = Connection("127.0.0.1", server.port, provider, TraceBuilder("handshake", 1, {}))
+            conn.start()
+            deadline = time.monotonic() + 5
+            while not server.errors and time.monotonic() < deadline:
+                time.sleep(0.01)
+            conn.stop()
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(faultsrv_cli, "serve", serve_on_any_port)
+    monkeypatch.setattr(faultsrv_cli, "threading", SimpleNamespace(Event=HelloOfAnotherSeed))
+    rc = faultsrv_main(["--listen", "127.0.0.1:0"])
+    assert served[0].errors
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"faultsrv: {error}" for error in served[0].errors]
+    assert "CH seed mismatch" in err[0]
 
 
 def report_warnings(tmp_path, capsys, name: str, content: bytes) -> list[str]:

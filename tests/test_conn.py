@@ -38,9 +38,12 @@ from quicprobe.wire import (
     encode_transport_parameters,
     encode_varint,
     parse_frames,
+    read_header,
     serialize_header,
 )
 from quicprobe.wire.transport_params import TP_MAX_ACK_DELAY
+
+from .exchange import CLIENT_ADDR, Exchange
 
 
 @pytest.fixture
@@ -310,20 +313,36 @@ class TestFlowLedger:
         conn.stop()
 
 
-def test_parser_survives_garbage_datagrams(silent_peer):
+def test_parser_survives_garbage_datagrams():
+    """Random datagrams reach the client's parser and the reference
+    server, and one-byte changes of a real client hello reach the server:
+    neither raises, and the client still speaks afterwards. Each header
+    byte takes every other value; each later byte, which only the AEAD
+    open reads, is flipped once."""
     import random
 
-    conn = make_conn(silent_peer)
     rng = random.Random(5)
-    parser = conn._agents["parser"]
-    for _ in range(300):
-        blob = rng.randbytes(rng.randint(1, 120))
-        conn._run_handler("parser", lambda d=blob: parser.datagram(conn, d))
-    # still alive and still speaking
+    blobs = [rng.randbytes(rng.randint(1, 120)) for _ in range(300)]
+    exchange = Exchange()
+    conn = exchange.conn
+    for blob in blobs:
+        exchange.receive(blob)
+    assert [n for n in exchange.trace.notes if n["kind"] == "agent_error"] == []
     conn.queue_frame(EncryptionLevel.INITIAL, PingFrame())
+    sent = len(exchange.to_server)
     conn._flush()
-    assert conn.space(EncryptionLevel.INITIAL).sent
-    conn.stop()
+    assert len(exchange.to_server) == sent + 1
+    exchange.stop()
+
+    hello = exchange.to_server[0]
+    server = exchange.server
+    mutations = [hello[:at] + bytes([hello[at] ^ 0xFF]) + hello[at + 1 :] for at in range(len(hello))]
+    _, pn_offset, _ = read_header(hello)
+    for at in range(pn_offset + 4):
+        mutations += [hello[:at] + bytes([v]) + hello[at + 1 :] for v in range(256) if v != hello[at]]
+    for datagram in blobs + mutations:
+        server._handle_datagram(datagram, CLIENT_ADDR)
+    assert server.errors == []
 
 
 def test_parser_flags_malformed_version_negotiation(silent_peer):

@@ -11,8 +11,15 @@ from quicprobe.dissector import (
     quic_v1_description,
     render_text,
 )
-from quicprobe.protection import cleartext_packet_bytes
+from quicprobe.protection import (
+    AEAD_TAG_LEN,
+    LEVEL_FOR_PACKET_TYPE,
+    cleartext_packet_bytes,
+    key_material_from_secret,
+    protect,
+)
 from quicprobe.wire import (
+    QUIC_V1,
     AckFrame,
     ConnectionCloseFrame,
     CryptoFrame,
@@ -26,7 +33,9 @@ from quicprobe.wire import (
     PingFrame,
     StreamDataBlockedFrame,
     StreamFrame,
+    read_header,
     serialize_frames,
+    serialize_header,
 )
 
 from .strategies import frame_lists
@@ -289,6 +298,119 @@ def test_codec_agreement_bulk_deterministic():
 def test_dissection_total_on_fuzz(data):
     tree = dissect(data, quic_v1_description())
     assert coverage_ok(tree, len(data))
+
+
+_BODY_TYPES = {
+    "initial_body": PacketType.INITIAL,
+    "zero_rtt_body": PacketType.ZERO_RTT,
+    "handshake_body": PacketType.HANDSHAKE,
+    "retry_body": PacketType.RETRY,
+    "version_negotiation_body": PacketType.VERSION_NEGOTIATION,
+    "short_header": PacketType.ONE_RTT,
+}
+
+
+def dissected_header(data: bytes) -> dict:
+    """The public header fields the dissector reads from one packet."""
+    tree = dissect(data, quic_v1_description())
+    assert coverage_ok(tree, len(data))
+    nodes = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        nodes.setdefault(node.name, node)
+        # a payload's frames have fields named like the header's
+        stack.extend(reversed([c for c in node.children if c.name != "payload"]))
+
+    def raw(name):
+        return nodes[name].raw if name in nodes else b""
+
+    [body] = [name for name in _BODY_TYPES if name in nodes]
+    versions = nodes.get("supported_versions")
+    return {
+        "packet_type": _BODY_TYPES[body],
+        "version": nodes["version"].value if "version" in nodes else QUIC_V1,
+        "dcid": raw("dcid"),
+        "scid": raw("scid"),
+        "token": raw("token") or raw("retry_token_and_tag"),
+        "length": nodes["length"].value if "length" in nodes else 0,
+        "supported_versions": [n.value for n in versions.leaves() if n.name == "version_value"]
+        if versions is not None
+        else [],
+        "pn_offset": nodes["packet_number"].start if "packet_number" in nodes else len(data),
+    }
+
+
+def read_fields(data: bytes) -> tuple[dict, int]:
+    header, pn_offset, end = read_header(data)
+    fields = {
+        "packet_type": header.packet_type,
+        "version": header.version,
+        "dcid": header.dcid,
+        "scid": header.scid,
+        "token": header.token,
+        "length": header.length,
+        "supported_versions": header.supported_versions,
+        "pn_offset": pn_offset,
+    }
+    return fields, end
+
+
+@st.composite
+def headers(draw):
+    packet_type = draw(st.sampled_from(list(PacketType)))
+    cid_size = 255 if packet_type is PacketType.VERSION_NEGOTIATION else 20
+    cids = st.binary(max_size=cid_size)
+    header = PacketHeader(packet_type=packet_type, dcid=draw(cids), scid=draw(cids))
+    if packet_type is PacketType.ONE_RTT:
+        header.dcid = draw(st.binary(min_size=8, max_size=8))  # the description's pinned length
+        header.scid = b""
+    if packet_type is PacketType.VERSION_NEGOTIATION:
+        header.supported_versions = draw(st.lists(st.integers(0, 0xFFFFFFFF), max_size=6))
+    elif packet_type is PacketType.INITIAL:
+        header.token = draw(st.binary(max_size=70))
+    elif packet_type is PacketType.RETRY:
+        header.token = draw(st.binary(min_size=AEAD_TAG_LEN, max_size=60))
+    header.pn_length = draw(st.integers(1, 4))
+    header.packet_number = draw(st.integers(0, (1 << (8 * header.pn_length)) - 1))
+    return header
+
+
+@given(header=headers(), padding=st.integers(3, 80))
+@settings(max_examples=300)
+def test_read_header_agrees_with_the_dissector(header, padding):
+    """The reader and the description-driven dissector, which share no
+    code, read the same public header from every packet the serializers
+    write, in its cleartext form and, for a packet with a packet number,
+    in its protected form. Protection changes none of the fields but the
+    Length, which then also covers the AEAD tag."""
+    if header.packet_type not in LEVEL_FOR_PACKET_TYPE:
+        forms = [serialize_header(header)]
+        plaintext = b""
+    else:
+        plaintext = bytes([0x01]) + bytes(padding)  # PING, then PADDING
+        keys = key_material_from_secret(bytes(32), LEVEL_FOR_PACKET_TYPE[header.packet_type], "server")
+        forms = [cleartext_packet_bytes(header, plaintext), protect(header, plaintext, keys)]
+    for data, tag in zip(forms, (0, AEAD_TAG_LEN)):
+        fields, end = read_fields(data)
+        assert fields == dissected_header(data)
+        assert end == len(data)
+        assert (fields["packet_type"], fields["dcid"], fields["scid"]) == (
+            header.packet_type,
+            header.dcid,
+            header.scid,
+        )
+        assert (fields["token"], fields["supported_versions"]) == (
+            header.token,
+            header.supported_versions,
+        )
+        if not plaintext:
+            assert fields["pn_offset"] == end
+            continue
+        # the packet number, then the payload and the tag to the end
+        assert end - fields["pn_offset"] == header.pn_length + len(plaintext) + tag
+        if header.is_long:
+            assert fields["length"] == header.pn_length + len(plaintext) + tag
 
 
 class TestRender:
