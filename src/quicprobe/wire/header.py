@@ -123,13 +123,15 @@ def read_header(buf: bytes, short_dcid_len: int = 8) -> tuple[PacketHeader, int,
 
     Returns the header, the offset of its packet number field and the
     offset where the packet ends. A long header has the invariants of
-    RFC 8999; a version 1 one adds its type, the Initial token and the
-    Length field, so it ends ``length`` bytes past its packet number
-    offset, which may lie past ``buf`` when it holds only a header. A
-    short header takes ``short_dcid_len`` for its connection id and runs
-    to the end of ``buf``. Version Negotiation (with its version list),
+    RFC 8999; a version 1 one adds the Initial token and the Length
+    field, so it ends ``length`` bytes past its packet number offset,
+    which may lie past ``buf`` when it holds only a header. A short
+    header takes ``short_dcid_len`` for its connection id and runs to
+    the end of ``buf``. Version Negotiation (with its version list),
     Retry (with its token and integrity tag as ``token``) and other
-    versions have no packet number: both offsets are ``len(buf)``.
+    versions have no packet number: both offsets are ``len(buf)``. The
+    type is ``packet_type_of``'s, so a long header of another version
+    has the type its type bits would name in version 1.
 
     Neither the packet number nor its length is read: header protection
     hides them, and ``packet_number``/``pn_length`` keep their defaults.
@@ -179,9 +181,10 @@ def _read_cid(buf: bytes, pos: int, limit: int, name: str) -> tuple[bytes, int]:
     """A connection id and its length byte at ``pos``, and the offset past it."""
     if pos >= len(buf):
         raise TruncationError(f"truncated {name} length", offset=pos)
-    end = pos + 1 + buf[pos]
-    if buf[pos] > limit:
-        raise ParseError(f"{name} length {buf[pos]} exceeds {limit}", offset=pos)
+    size = buf[pos]
+    if size > limit:
+        raise ParseError(f"{name} length {size} exceeds {limit}", offset=pos)
+    end = pos + 1 + size
     if end > len(buf):
         raise TruncationError(f"truncated {name}", offset=pos + 1)
     return buf[pos + 1 : end], end

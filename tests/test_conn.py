@@ -336,10 +336,13 @@ def test_parser_survives_garbage_datagrams():
 
     hello = exchange.to_server[0]
     server = exchange.server
-    mutations = [hello[:at] + bytes([hello[at] ^ 0xFF]) + hello[at + 1 :] for at in range(len(hello))]
+    def mutated(at, value):
+        return hello[:at] + bytes([value]) + hello[at + 1 :]
+
+    mutations = [mutated(at, hello[at] ^ 0xFF) for at in range(len(hello))]
     _, pn_offset, _ = read_header(hello)
     for at in range(pn_offset + 4):
-        mutations += [hello[:at] + bytes([v]) + hello[at + 1 :] for v in range(256) if v != hello[at]]
+        mutations += [mutated(at, value) for value in range(256) if value != hello[at]]
     for datagram in blobs + mutations:
         server._handle_datagram(datagram, CLIENT_ADDR)
     assert server.errors == []

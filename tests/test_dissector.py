@@ -389,7 +389,8 @@ def test_read_header_agrees_with_the_dissector(header, padding):
         plaintext = b""
     else:
         plaintext = bytes([0x01]) + bytes(padding)  # PING, then PADDING
-        keys = key_material_from_secret(bytes(32), LEVEL_FOR_PACKET_TYPE[header.packet_type], "server")
+        level = LEVEL_FOR_PACKET_TYPE[header.packet_type]
+        keys = key_material_from_secret(bytes(32), level, "server")
         forms = [cleartext_packet_bytes(header, plaintext), protect(header, plaintext, keys)]
     for data, tag in zip(forms, (0, AEAD_TAG_LEN)):
         fields, end = read_fields(data)

@@ -4,33 +4,24 @@ Each case runs an in-memory exchange with the reference server up to the
 first datagram of one kind, feeds the client's receive path every prefix
 of that datagram, shortest first and the whole datagram last, and records
 what each prefix left behind: the kinds of the notes it wrote, the
-decrypt-failure counts it added and the packets it logged. The tables pin
-that evidence; a change to how the client reads headers must leave it as
-it is.
+decrypt-failure counts it added and the packets it logged.
+``expected_runs`` pins that evidence; a change to how the client reads
+headers must leave it as it is.
 """
 
 import pytest
 
+from quicprobe.scenarios.core import RESERVED_VERSION
+from quicprobe.wire import packet_type_of
+
 from .exchange import Exchange, grow_cid
-
-UNKNOWN_VERSION = 0x1A2A3A4A
-
-
-def first_byte_kind(datagram: bytes) -> str:
-    """The kind of a packet the reference server sent: header protection
-    leaves the top four bits of a long header's first byte as they are."""
-    if not datagram[0] & 0x80:
-        return "one_rtt"
-    if datagram[1:5] == b"\x00\x00\x00\x00":
-        return "version_negotiation"
-    return {0xC0: "initial", 0xD0: "zero_rtt", 0xE0: "handshake", 0xF0: "retry"}[datagram[0] & 0xF0]
 
 
 def exchange_until(kind: str) -> tuple[Exchange, bytes]:
     """An exchange whose client is about to receive the server's first
     datagram of ``kind``, and that datagram."""
     if kind == "version_negotiation":
-        exchange = Exchange(version=UNKNOWN_VERSION)
+        exchange = Exchange(version=RESERVED_VERSION)
     elif kind == "retry":
         exchange = Exchange(retry_above=0)
     else:
@@ -38,7 +29,7 @@ def exchange_until(kind: str) -> tuple[Exchange, bytes]:
     for _ in range(20):
         datagram = exchange.next_to_client()
         assert datagram is not None, f"the server sent no {kind} datagram"
-        if first_byte_kind(datagram) == kind:
+        if packet_type_of(datagram).value == kind:
             return exchange, datagram
         exchange.receive(datagram)
         exchange.flush_client()
@@ -94,6 +85,8 @@ def prefix_runs(exchange: Exchange, datagram: bytes) -> list[tuple]:
 
 PARSE = (("header_parse_error",), (), ())
 NOTHING = ((), (), ())
+LOGGED = ((), (), (("rx", "none", "the datagram"),))
+DISCARDED = (("retry_discarded",), (), (("rx", "none", "the datagram"),))
 CIDS_END = 1 + 4 + 1 + 8 + 1 + 8  # a long header up to its two 8-byte connection ids
 SAMPLE_END = 1 + 8 + 4 + 16  # a short header up to its header-protection sample
 
@@ -118,26 +111,26 @@ def expected_runs(kind: str, size: int) -> list[tuple]:
         ]
     if kind == "version_negotiation":
         malformed = (("malformed_version_negotiation",), (), ())
-        empty_list = ((), (), (("rx", "none", "the datagram"),))
         return [
             # too short to hold a version: read as the Initial its type bits name
             (1, 4, PARSE),
             (5, CIDS_END - 1, malformed),
-            (CIDS_END, CIDS_END, empty_list),
+            (CIDS_END, CIDS_END, LOGGED),  # an empty version list
             (CIDS_END + 1, size - 1, malformed),
-            (size, size, ((), (), (("rx", "none", "as sent"),))),
+            (size, size, opened("none")),
         ]
     assert kind == "retry"
-    discarded = (("retry_discarded",), (), (("rx", "none", "the datagram"),))
     return [
         # shorter than the integrity tag: dropped without a note
         (1, CIDS_END + 15, NOTHING),
-        (CIDS_END + 16, size - 1, discarded),
-        (size, size, ((), (), (("rx", "none", "as sent"),))),
+        (CIDS_END + 16, size - 1, DISCARDED),
+        (size, size, opened("none")),
     ]
 
 
-@pytest.mark.parametrize("kind", ["initial", "handshake", "one_rtt", "version_negotiation", "retry"])
+@pytest.mark.parametrize(
+    "kind", ["initial", "handshake", "one_rtt", "version_negotiation", "retry"]
+)
 def test_every_prefix_of_a_server_datagram_leaves_the_same_evidence(kind):
     exchange, datagram = exchange_until(kind)
     try:
@@ -161,3 +154,46 @@ def test_a_grown_connection_id_leaves_the_same_evidence(kind, field, size):
     finally:
         exchange.stop()
     assert found == (PARSE if size > 20 else undecryptable(kind))
+
+
+def other_version(datagram: bytes) -> bytes:
+    return datagram[:1] + RESERVED_VERSION.to_bytes(4, "big") + datagram[5:]
+
+
+@pytest.mark.parametrize(
+    "kind, hostile, expected",
+    [
+        # RFC 8999 allows connection ids of up to 255 bytes here; the
+        # version_negotiation scenario judges ids that echo none of its own
+        pytest.param(
+            "version_negotiation", lambda d: grow_cid(d, "dcid", 21), LOGGED, id="vn-dcid-21"
+        ),
+        pytest.param(
+            "version_negotiation", lambda d: grow_cid(d, "scid", 255), LOGGED, id="vn-scid-255"
+        ),
+        # a long header of another version is read to its invariants, and
+        # no version 1 keys open it, however its rest reads
+        pytest.param("initial", other_version, undecryptable("initial"), id="other-initial"),
+        pytest.param(
+            "initial",
+            lambda d: other_version(d)[:30],
+            undecryptable("initial"),
+            id="other-initial-cut",
+        ),
+        pytest.param("handshake", other_version, undecryptable("handshake"), id="other-handshake"),
+        pytest.param("retry", lambda d: other_version(d)[:30], DISCARDED, id="other-retry-cut"),
+        # the client has no keys for 0-RTT: undecryptable, however cut
+        pytest.param(
+            "initial",
+            lambda d: bytes([d[0] ^ 0x10]) + d[1:8],
+            undecryptable("zero_rtt"),
+            id="zero-rtt-cut",
+        ),
+    ],
+)
+def test_hostile_headers_leave_this_evidence(kind, hostile, expected):
+    exchange, datagram = exchange_until(kind)
+    try:
+        assert evidence(exchange, hostile(datagram)) == expected
+    finally:
+        exchange.stop()

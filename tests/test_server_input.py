@@ -3,11 +3,10 @@
 
 import pytest
 
+from quicprobe.scenarios.core import RESERVED_VERSION
 from quicprobe.wire import PacketType, parse_header
 
 from .exchange import CLIENT_ADDR, Exchange, grow_cid
-
-UNKNOWN_VERSION = 0x1A2A3A4A
 
 
 @pytest.mark.parametrize("field", ["dcid", "scid"])
@@ -24,7 +23,7 @@ def test_server_drops_a_version_1_hello_whose_connection_id_is_too_long(field, s
 
 @pytest.mark.parametrize("dcid_size, scid_size", [(21, 8), (8, 30), (255, 255)])
 def test_server_echoes_long_connection_ids_of_an_unknown_version(dcid_size, scid_size):
-    exchange = Exchange(version=UNKNOWN_VERSION)
+    exchange = Exchange(version=RESERVED_VERSION)
     probe = exchange.to_server.pop(0)
     exchange.stop()
     probe = grow_cid(grow_cid(probe, "dcid", dcid_size), "scid", scid_size)
@@ -40,7 +39,7 @@ def test_server_echoes_long_connection_ids_of_an_unknown_version(dcid_size, scid
 
 
 def test_server_never_answers_version_negotiation():
-    exchange = Exchange(version=UNKNOWN_VERSION)
+    exchange = Exchange(version=RESERVED_VERSION)
     exchange.deliver_to_server()
     [negotiation] = exchange.to_client
     exchange.stop()
