@@ -135,7 +135,8 @@ class ParserAgent(Agent):
     def _retry(conn, data: bytes) -> None:
         try:
             header, _ = parse_header(data)
-        except ParseError:
+        except ParseError as exc:
+            conn.trace.note("header_parse_error", {"level": "none", "error": str(exc)})
             return
         conn.trace.log_packet("rx", "none", data, len(conn.scid))
         token, tag = header.token[:-AEAD_TAG_LEN], header.token[-AEAD_TAG_LEN:]

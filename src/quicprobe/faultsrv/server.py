@@ -70,6 +70,8 @@ from .faults import BLOCKED_FRAME_COUNT, PRE_VALIDATION_BYTES, FaultSpec
 SERVER_PN_LENGTH = 2
 RESPONSE_CHUNK = 900
 RETRY_TOKEN_PREFIX = b"faultsrv-retry:"  # followed by the client's first dcid
+# RFC 9000 section 7.2: the destination id of a client's first Initial
+MIN_INITIAL_DCID_LEN = 8
 
 
 def server_scid(seed: int) -> bytes:
@@ -539,6 +541,8 @@ class FaultServer:
         if level is EncryptionLevel.INITIAL:
             conn = self.conns.get(addr)
             if conn is None or conn.client_scid != header.scid:
+                if len(header.dcid) < MIN_INITIAL_DCID_LEN:
+                    return  # too short to open a connection; no keys derived
                 if self._answer_retry(header, addr):
                     return
                 self._drop_idle()

@@ -9,7 +9,9 @@ and header-protection key. Cryptographic primitives come from the
 
 from __future__ import annotations
 
+import functools
 import struct
+import threading
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 
@@ -86,9 +88,12 @@ SPACE_FOR_LEVEL = {
 class KeyMaterial:
     """Keys of one level and direction, with their ciphers built once.
 
-    The header-protection encryptor keeps state between calls, so a
-    ``KeyMaterial`` must never be used by two threads: each belongs to
-    one connection and is used only by the thread that drives it.
+    ``key_material_from_secret`` keeps the 64 it built last and hands
+    the same object to every caller of the same secret, so one
+    ``KeyMaterial`` may serve several connections and the reference
+    server at once, from any thread. The header-protection encryptor
+    keeps state between calls, so ``protect`` and ``unprotect`` use the
+    ciphers only while holding ``lock``.
     """
 
     level: EncryptionLevel
@@ -98,6 +103,7 @@ class KeyMaterial:
     header_protection_key: bytes
     aead: AESGCM = field(init=False, repr=False, compare=False)
     hp_encryptor: CipherContext = field(init=False, repr=False, compare=False)
+    lock: threading.Lock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assert len(self.key) == AEAD_KEY_LEN
@@ -106,6 +112,7 @@ class KeyMaterial:
         object.__setattr__(self, "aead", AESGCM(self.key))
         hp = Cipher(algorithms.AES(self.header_protection_key), modes.ECB())
         object.__setattr__(self, "hp_encryptor", hp.encryptor())
+        object.__setattr__(self, "lock", threading.Lock())
 
 
 def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
@@ -120,9 +127,14 @@ def hkdf_expand_label(secret: bytes, label: str, length: int) -> bytes:
     return HKDFExpand(algorithm=hashes.SHA256(), length=length, info=info).derive(secret)
 
 
+@functools.lru_cache(maxsize=64)
 def key_material_from_secret(
     secret: bytes, level: EncryptionLevel, direction: str
 ) -> KeyMaterial:
+    """The keys of one secret, built once while the secret stays among
+    the 64 used last (each entry holds about 3.5 KB): the client and the
+    server derive the same Initial secrets from one connection id, and
+    the scripted provider the same secrets from one seed."""
     return KeyMaterial(
         level=level,
         direction=direction,
@@ -208,12 +220,13 @@ def protect(header: PacketHeader, plaintext: bytes, keys: KeyMaterial) -> bytes:
     sealed_len = header.pn_length + len(plaintext) + AEAD_TAG_LEN
     aad = serialize_header(replace(header, length=sealed_len))
     nonce = _nonce(keys.iv, header.packet_number)
-    ciphertext = keys.aead.encrypt(nonce, plaintext, aad)
+    sample_at = 4 - header.pn_length  # into the ciphertext, which follows the pn field
+    with keys.lock:
+        ciphertext = keys.aead.encrypt(nonce, plaintext, aad)
+        mask = keys.hp_encryptor.update(ciphertext[sample_at : sample_at + HP_SAMPLE_LEN])
 
     packet = bytearray(aad + ciphertext)
     pn_offset = len(aad) - header.pn_length
-    sample = bytes(packet[pn_offset + 4 : pn_offset + 4 + HP_SAMPLE_LEN])
-    mask = keys.hp_encryptor.update(sample)
     packet[0] ^= mask[0] & (0x0F if header.is_long else 0x1F)
     for i in range(header.pn_length):
         packet[pn_offset + i] ^= mask[1 + i]
@@ -241,7 +254,8 @@ def unprotect(
     if end > len(buf):
         raise TruncationError("declared length exceeds datagram", offset=pn_offset)
     sample = buf[pn_offset + 4 : pn_offset + 4 + HP_SAMPLE_LEN]
-    mask = keys.hp_encryptor.update(sample)
+    with keys.lock:
+        mask = keys.hp_encryptor.update(sample)
 
     packet = bytearray(buf)
     packet[0] ^= mask[0] & (0x0F if header.is_long else 0x1F)
@@ -255,7 +269,8 @@ def unprotect(
     ciphertext = bytes(packet[pn_offset + pn_length : end])
     nonce = _nonce(keys.iv, packet_number)
     try:
-        plaintext = keys.aead.decrypt(nonce, ciphertext, aad)
+        with keys.lock:
+            plaintext = keys.aead.decrypt(nonce, ciphertext, aad)
     except InvalidTag:
         raise DecryptError(f"AEAD authentication failed for {keys.level.label} packet")
 

@@ -77,11 +77,11 @@ class Exchange:
         self._peer.close()
 
 
-def grow_cid(datagram: bytes, field: str, size: int) -> bytes:
+def resize_cid(datagram: bytes, field: str, size: int) -> bytes:
     """A long-header datagram with its 8-byte ``field`` ("dcid" or
-    "scid") padded to ``size`` bytes and its length byte to match: the
-    header stays well formed, the protection no longer fits it."""
+    "scid") padded or cut to ``size`` bytes and its length byte to match:
+    the header stays well formed, the protection no longer fits it."""
     at = 5 if field == "dcid" else 6 + datagram[5]
     assert datagram[at] == 8
-    cid = datagram[at + 1 : at + 9] + b"\x5a" * (size - 8)
+    cid = (datagram[at + 1 : at + 9] + b"\x5a" * (size - 8))[:size]
     return datagram[:at] + bytes([size]) + cid + datagram[at + 9 :]

@@ -55,6 +55,20 @@ def test_identical_seed_identical_keys():
         assert client_secrets[key] == server_secrets[key]
 
 
+def test_providers_with_one_seed_export_the_same_key_objects():
+    first_client, first_server = run_handshake()
+    second_client, _ = run_handshake()
+    first = {(km.level, km.direction): km for km in first_client.exported_secrets()}
+    second = {(km.level, km.direction): km for km in second_client.exported_secrets()}
+    server = {(km.level, km.direction): km for km in first_server.exported_secrets()}
+    assert first.keys() == second.keys()
+    assert (EncryptionLevel.ONE_RTT, "server") in first.keys() & server.keys()
+    for key in first:
+        assert first[key] is second[key]
+    for key in first.keys() & server.keys():
+        assert first[key] is server[key]
+
+
 def test_secrets_appear_at_most_once():
     client, _ = run_handshake()
     first = _levels(client.exported_secrets())

@@ -14,7 +14,7 @@ import pytest
 from quicprobe.scenarios.core import RESERVED_VERSION
 from quicprobe.wire import packet_type_of
 
-from .exchange import Exchange, grow_cid
+from .exchange import Exchange, resize_cid
 
 
 def exchange_until(kind: str) -> tuple[Exchange, bytes]:
@@ -84,7 +84,6 @@ def prefix_runs(exchange: Exchange, datagram: bytes) -> list[tuple]:
 
 
 PARSE = (("header_parse_error",), (), ())
-NOTHING = ((), (), ())
 LOGGED = ((), (), (("rx", "none", "the datagram"),))
 DISCARDED = (("retry_discarded",), (), (("rx", "none", "the datagram"),))
 CIDS_END = 1 + 4 + 1 + 8 + 1 + 8  # a long header up to its two 8-byte connection ids
@@ -121,8 +120,8 @@ def expected_runs(kind: str, size: int) -> list[tuple]:
         ]
     assert kind == "retry"
     return [
-        # shorter than the integrity tag: dropped without a note
-        (1, CIDS_END + 15, NOTHING),
+        # shorter than the integrity tag: its header does not read
+        (1, CIDS_END + 15, PARSE),
         (CIDS_END + 16, size - 1, DISCARDED),
         (size, size, opened("none")),
     ]
@@ -150,7 +149,7 @@ def test_a_grown_connection_id_leaves_the_same_evidence(kind, field, size):
     bytes the header reads and the AEAD open rejects the grown packet."""
     exchange, datagram = exchange_until(kind)
     try:
-        found = evidence(exchange, grow_cid(datagram, field, size))
+        found = evidence(exchange, resize_cid(datagram, field, size))
     finally:
         exchange.stop()
     assert found == (PARSE if size > 20 else undecryptable(kind))
@@ -166,10 +165,10 @@ def other_version(datagram: bytes) -> bytes:
         # RFC 8999 allows connection ids of up to 255 bytes here; the
         # version_negotiation scenario judges ids that echo none of its own
         pytest.param(
-            "version_negotiation", lambda d: grow_cid(d, "dcid", 21), LOGGED, id="vn-dcid-21"
+            "version_negotiation", lambda d: resize_cid(d, "dcid", 21), LOGGED, id="vn-dcid-21"
         ),
         pytest.param(
-            "version_negotiation", lambda d: grow_cid(d, "scid", 255), LOGGED, id="vn-scid-255"
+            "version_negotiation", lambda d: resize_cid(d, "scid", 255), LOGGED, id="vn-scid-255"
         ),
         # a long header of another version is read to its invariants, and
         # no version 1 keys open it, however its rest reads

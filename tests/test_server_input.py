@@ -6,7 +6,7 @@ import pytest
 from quicprobe.scenarios.core import RESERVED_VERSION
 from quicprobe.wire import PacketType, parse_header
 
-from .exchange import CLIENT_ADDR, Exchange, grow_cid
+from .exchange import CLIENT_ADDR, Exchange, resize_cid
 
 
 @pytest.mark.parametrize("field", ["dcid", "scid"])
@@ -15,7 +15,19 @@ def test_server_drops_a_version_1_hello_whose_connection_id_is_too_long(field, s
     exchange = Exchange()
     hello = exchange.to_server.pop(0)
     exchange.stop()
-    exchange.server._handle_datagram(grow_cid(hello, field, size), CLIENT_ADDR)
+    exchange.server._handle_datagram(resize_cid(hello, field, size), CLIENT_ADDR)
+    assert exchange.server.conns == {}
+    assert exchange.to_client == []
+    assert exchange.server.errors == []
+
+
+@pytest.mark.parametrize("size", [0, 7])
+def test_server_drops_a_version_1_hello_whose_destination_id_is_too_short(size):
+    # RFC 9000 section 7.2: a client's first destination id has 8 bytes or more
+    exchange = Exchange()
+    hello = exchange.to_server.pop(0)
+    exchange.stop()
+    exchange.server._handle_datagram(resize_cid(hello, "dcid", size), CLIENT_ADDR)
     assert exchange.server.conns == {}
     assert exchange.to_client == []
     assert exchange.server.errors == []
@@ -26,7 +38,7 @@ def test_server_echoes_long_connection_ids_of_an_unknown_version(dcid_size, scid
     exchange = Exchange(version=RESERVED_VERSION)
     probe = exchange.to_server.pop(0)
     exchange.stop()
-    probe = grow_cid(grow_cid(probe, "dcid", dcid_size), "scid", scid_size)
+    probe = resize_cid(resize_cid(probe, "dcid", dcid_size), "scid", scid_size)
     exchange.server._handle_datagram(probe, CLIENT_ADDR)
     [reply] = exchange.to_client
     header, _ = parse_header(reply)
