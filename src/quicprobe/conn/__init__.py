@@ -11,8 +11,10 @@ from .connection import (
     Packet,
     PrerequisiteError,
     perform_handshake,
+    resolve,
     unfinished_stage,
 )
+from .driver import drive
 from .streams import FlowControlAssertion, StreamRecv, StreamState
 
 __all__ = [
@@ -28,6 +30,8 @@ __all__ = [
     "StreamRecv",
     "StreamState",
     "build_ack",
+    "drive",
     "perform_handshake",
+    "resolve",
     "unfinished_stage",
 ]

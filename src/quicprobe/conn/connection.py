@@ -1,15 +1,15 @@
 """One client connection: its agents' hooks, packet spaces and send path.
 
-One connection is one scenario execution, single-threaded. Each packet
-received, each packet sent and the retransmission deadline call one
-hook on the roster's agents, directly and in a fixed order, so traces
-are reproducible.
+One connection is one scenario execution. It never waits itself: each
+wait is a generator step that ``drive`` resumes, so every connection of
+a run shares the caller's thread. Each packet received, each packet sent
+and the retransmission deadline call one hook on the roster's agents,
+directly and in a fixed order, so traces are reproducible.
 """
 
 from __future__ import annotations
 
 import os
-import select
 import socket
 import time
 from dataclasses import dataclass, field
@@ -68,6 +68,16 @@ class PrerequisiteError(Exception):
     """The connection could not even be attempted (maps to trace Error)."""
 
 
+def resolve(host: str, port: int) -> tuple:
+    """The first ``getaddrinfo`` entry for a UDP peer at ``host``:``port``;
+    raises PrerequisiteError when the name does not resolve, including a
+    name with a label that IDNA cannot encode."""
+    try:
+        return socket.getaddrinfo(host, port, type=socket.SOCK_DGRAM)[0]
+    except (OSError, UnicodeError) as exc:
+        raise PrerequisiteError(f"cannot resolve {host}: {exc}")
+
+
 class HandshakeStage(Enum):
     NO_RESPONSE = "no_response"
     VERSION_MISMATCH = "version_mismatch"
@@ -113,9 +123,11 @@ class Connection:
         version: int = QUIC_V1,
         assumed_peer_tp: TransportParameters | None = None,
         hold_client_finished: bool = False,
+        address: tuple | None = None,
     ):
         self.host = host
         self.port = port
+        self.address = address  # a ``resolve`` result; None resolves at start
         self.provider = provider
         self.roster = frozenset(roster)
         self.trace = trace
@@ -189,11 +201,9 @@ class Connection:
             hook: [a for a in agents if getattr(type(a), hook) is not getattr(Agent, hook)]
             for hook in HOOKS
         }
-        try:
-            info = socket.getaddrinfo(self.host, self.port, type=socket.SOCK_DGRAM)
-        except socket.gaierror as exc:
-            raise PrerequisiteError(f"cannot resolve {self.host}: {exc}")
-        family, socktype, proto, _, addr = info[0]
+        if self.address is None:
+            self.address = resolve(self.host, self.port)
+        family, socktype, proto, _, addr = self.address
         try:
             self.sock = socket.socket(family, socktype, proto)
             self.sock.connect(addr)
@@ -234,19 +244,21 @@ class Connection:
 
     # -- pumping ----------------------------------------------------------
 
-    def pump(self, wait: float) -> None:
+    def pump(self, wait: float):
         """Send what is queued, wait up to ``wait`` seconds for datagrams,
         or less if the retransmission deadline falls sooner, then hand each
         datagram to the parser, check the deadline and send what that
-        queued."""
+        queued. A generator: it yields its wait to ``drive``, which resumes
+        it with the time the socket was seen readable, the arrival time of
+        every datagram read then, or with None once the wait is over."""
         if self.sock is None:
             return
         # a deadline set by this send bounds the wait below
         self._flush()
         if self.retransmit_at is not None:
             wait = min(wait, self.retransmit_at - time.monotonic())
-        readable, _, _ = select.select([self.sock], [], [], max(wait, 0))
-        if readable:
+        arrived = yield self.sock, max(wait, 0)
+        if arrived is not None:
             while True:
                 try:
                     datagram = self.sock.recv(65535)
@@ -260,9 +272,9 @@ class Connection:
                     break
                 if not datagram:
                     break
-                self.last_received_at = time.monotonic()
+                self.last_received_at = arrived
                 if self.rtt is None and self.first_sent_at is not None:
-                    self.rtt = self.last_received_at - self.first_sent_at
+                    self.rtt = arrived - self.first_sent_at
                 self.bytes_received += len(datagram)
                 parser = self._agents.get("parser")
                 if parser is not None:
@@ -270,12 +282,13 @@ class Connection:
         self._check_deadline()
         self._flush()
 
-    def run_until(self, predicate, timeout: float) -> bool:
-        """Pump until ``predicate()`` holds or ``timeout`` seconds pass.
-        Connection state changes only when a datagram arrives or the
-        retransmission deadline passes, so each wait lasts until one of
-        those or ``timeout``. A port that refused our datagrams and never
-        answered ends the wait: nothing listens there to answer later."""
+    def run_until(self, predicate, timeout: float):
+        """Pump until ``predicate()`` holds or ``timeout`` seconds pass;
+        return whether it holds. Connection state changes only when a
+        datagram arrives or the retransmission deadline passes, so each
+        wait lasts until one of those or ``timeout``. A port that refused
+        our datagrams and never answered ends the wait: nothing listens
+        there to answer later. A generator, like ``pump``."""
         deadline = time.monotonic() + timeout
         while True:
             if predicate():
@@ -283,16 +296,17 @@ class Connection:
             now = time.monotonic()
             if now >= deadline or (self.port_refused and self.bytes_received == 0):
                 return bool(predicate())
-            self.pump(deadline - now)
+            yield from self.pump(deadline - now)
 
-    def settle(self, seconds: float) -> None:
+    def settle(self, seconds: float):
         """Pump until no datagram has arrived for one probe timeout since
         the settle began, or for the whole window of ``seconds``, whichever
         ends first: the window in which a violating peer would keep
         sending. Every datagram that arrives restarts the quiet period, so
         a peer that keeps sending is watched for the whole window; without
         an RTT sample there is no probe timeout, and the settle runs the
-        whole window. A ``settle`` note in the trace says which ended it."""
+        whole window. A ``settle`` note in the trace says which ended it.
+        A generator, like ``pump``."""
         start = time.monotonic()
         window_end = start + seconds
         pto = self.probe_timeout()
@@ -303,7 +317,7 @@ class Connection:
             now = time.monotonic()
             if now >= end:
                 break
-            self.pump(end - now)
+            yield from self.pump(end - now)
         self.trace.note(
             "settle",
             {
@@ -521,9 +535,10 @@ class Connection:
     def _sendto(self, datagram: bytes) -> None:
         if self.sock is None:
             raise PrerequisiteError("socket closed")
-        self.sock.send(datagram)
+        # stamped before the send: the peer may answer before it returns
         if self.first_sent_at is None:
             self.first_sent_at = time.monotonic()
+        self.sock.send(datagram)
         self.bytes_sent += len(datagram)
 
     def _flush(self) -> None:
@@ -543,11 +558,12 @@ class Connection:
         self.trace.log_undecryptable(level.label, raw)
 
 
-def perform_handshake(conn: Connection, timeout_s: float) -> HandshakeStage | None:
-    """Drive the connection until the 1-RTT exchange finished and return
+def perform_handshake(conn: Connection, timeout_s: float):
+    """Pump the connection until the 1-RTT exchange finished and return
     None, or return the stage the handshake is stuck at. A complete
-    handshake has both 1-RTT keys: the handshake agent waits for them."""
-    conn.run_until(lambda: conn.handshake_complete or conn.closed, timeout_s)
+    handshake has both 1-RTT keys: the handshake agent waits for them.
+    A generator, like ``Connection.pump``."""
+    yield from conn.run_until(lambda: conn.handshake_complete or conn.closed, timeout_s)
     return None if conn.handshake_complete else unfinished_stage(conn)
 
 

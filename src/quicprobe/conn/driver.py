@@ -1,0 +1,100 @@
+"""The one loop that runs a run's connections on the calling thread.
+
+Every wait of a connection is a generator step, in the sans-I/O shape of
+aioquic's ``QuicConnection``: ``Connection.pump`` yields ``(sock,
+timeout_s)``, and whatever waits on it (``run_until``, ``settle``, a
+scenario's ``run``) passes that up with ``yield from``. ``drive`` is the
+only code of a run that waits: one ``selectors`` call over every socket
+a task waits on, up to the earliest deadline.
+"""
+
+from __future__ import annotations
+
+import selectors
+import time
+from collections import deque
+from dataclasses import dataclass, field
+
+
+@dataclass(eq=False, slots=True)
+class _Task:
+    """One generator, and the task its return value goes to."""
+
+    gen: object
+    parent: _Task | None
+    index: int  # where its return value goes in ``parent.results``
+    results: list = field(default_factory=list)  # its own children's values
+    pending: int = 0  # children that have not returned yet
+    sock: object = None
+    deadline: float = 0.0
+
+
+def drive(tasks) -> list:
+    """Run the generators ``tasks`` together on this thread until every
+    one has returned, and return their return values in order.
+
+    A task yields ``(sock, timeout_s)`` to wait until ``sock`` is readable
+    or ``timeout_s`` has passed. It is resumed with the monotonic time at
+    which the wait saw ``sock`` readable, the arrival time of whatever it
+    then reads, or with None once the timeout has passed. A task yields a
+    list of generators to run them as tasks too, and is resumed with
+    their return values once all of them have returned.
+
+    Tasks start in order, each running to its first wait before the next
+    one starts. An exception in a task closes every other task and
+    propagates to the caller."""
+    root = _Task(None, None, 0)
+    ready: deque[tuple[_Task, object]] = deque()  # tasks to resume, with what
+    waiting: dict[_Task, None] = {}  # in the order their waits began
+    live: dict[_Task, None] = {}
+
+    def spawn(parent: _Task, gens: list) -> None:
+        parent.results = [None] * len(gens)
+        parent.pending = len(gens)
+        if not gens and parent is not root:
+            ready.append((parent, parent.results))
+        for index, gen in enumerate(gens):
+            task = _Task(gen, parent, index)
+            live[task] = None
+            ready.append((task, None))
+
+    def resume(task: _Task, value) -> None:
+        selector.unregister(task.sock)
+        del waiting[task]
+        ready.append((task, value))
+
+    spawn(root, list(tasks))
+    with selectors.DefaultSelector() as selector:
+        try:
+            while True:
+                while ready:
+                    task, value = ready.popleft()
+                    try:
+                        request = task.gen.send(value)
+                    except StopIteration as stop:
+                        del live[task]
+                        parent = task.parent
+                        parent.results[task.index] = stop.value
+                        parent.pending -= 1
+                        if parent.pending == 0 and parent is not root:
+                            ready.append((parent, parent.results))
+                        continue
+                    if isinstance(request, list):
+                        spawn(task, request)
+                        continue
+                    task.sock, timeout_s = request
+                    task.deadline = time.monotonic() + timeout_s
+                    selector.register(task.sock, selectors.EVENT_READ, task)
+                    waiting[task] = None
+                if not waiting:
+                    return root.results
+                earliest = min(task.deadline for task in waiting)
+                events = selector.select(max(0.0, earliest - time.monotonic()))
+                now = time.monotonic()
+                for key, _ in events:
+                    resume(key.data, now)
+                for task in [task for task in waiting if task.deadline <= now]:
+                    resume(task, None)
+        finally:
+            for task in live:
+                task.gen.close()

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from ..conn import PrerequisiteError
+from ..conn import PrerequisiteError, drive, resolve
 from ..protection import DEFAULT_PROVIDER_SEED
 from ..traces import Trace, TraceBuilder
 from . import codes
@@ -61,13 +60,9 @@ class SuitePlan:
             raise ValueError(f"parallel must be at least 1, got {self.parallel}")
 
 
-def run_scenario(
-    name: str,
-    target: dict,
-    provider_seed: int = DEFAULT_PROVIDER_SEED,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
-) -> Trace:
-    """Execute one scenario against one target and finalize its trace."""
+def _scenario(name: str, target: dict, address, provider_seed: int, timeout_ms: int):
+    """A task for ``drive``: execute one scenario against one target and
+    return its finalized trace."""
     scenario = ALL_SCENARIOS[name]()
     trace = TraceBuilder(scenario.name, scenario.scenario_version, dict(target))
     ctx = ScenarioContext(
@@ -75,9 +70,10 @@ def run_scenario(
         trace=trace,
         provider_seed=provider_seed,
         timeout_s=timeout_ms / 1000,
+        address=address,
     )
     try:
-        code, results = scenario.run(ctx)
+        code, results = yield from scenario.run(ctx)
     except UnmetPrerequisite as exc:
         code, results = exc.code, exc.results
     except PrerequisiteError as exc:
@@ -90,25 +86,53 @@ def run_scenario(
     return trace.finalize(code, results)
 
 
+def _probe_target(target: dict, order: list[str], provider_seed: int, timeout_ms: int):
+    """A task for ``drive``: resolve the target once, then run its
+    scenarios together, started in ``order``, and return their traces in
+    that order. Against a name that does not resolve, every scenario gets
+    the prerequisite code and the resolver's error, and none runs."""
+    try:
+        address = resolve(target["host"], target["port"])
+    except PrerequisiteError as exc:
+        return [
+            TraceBuilder(name, ALL_SCENARIOS[name].scenario_version, dict(target)).finalize(
+                codes.PREREQ_UNRESOLVED, {"error": str(exc)}
+            )
+            for name in order
+        ]
+    return (yield [_scenario(name, target, address, provider_seed, timeout_ms) for name in order])
+
+
+def run_scenario(
+    name: str,
+    target: dict,
+    provider_seed: int = DEFAULT_PROVIDER_SEED,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
+) -> Trace:
+    """Execute one scenario against one target and finalize its trace."""
+    ((trace,),) = drive([_probe_target(target, [name], provider_seed, timeout_ms)])
+    return trace
+
+
 def run_suite(plan: SuitePlan) -> list[Trace]:
-    """Run every scenario against every target, each on a fresh connection.
-    A target's scenarios run concurrently and start in the seed-determined
-    order; up to ``plan.parallel`` targets run at once. The traces come
-    back grouped by target in input order, each group in the seeded order.
-    Never raises for per-scenario failures."""
+    """Run every scenario against every target, each on a fresh connection,
+    all on one loop in the calling thread. A target's scenarios run
+    together and start in the seed-determined order; up to
+    ``plan.parallel`` targets run at once. The traces come back grouped by
+    target in input order, each group in the seeded order. Never raises
+    for per-scenario failures."""
     order = scenario_order(plan.scenarios, plan.seed)
+    targets = iter(enumerate(plan.targets))
+    grouped: list[list[Trace]] = [[] for _ in plan.targets]
 
-    def probe_target(target: dict) -> list[Trace]:
-        # one thread per scenario, submitted in the seeded order
-        with ThreadPoolExecutor(max_workers=max(len(order), 1)) as pool:
-            futures = [
-                pool.submit(run_scenario, name, target, plan.provider_seed, plan.timeout_ms)
-                for name in order
-            ]
-            return [future.result() for future in futures]
+    def worker():
+        # takes the next target once every scenario of its last one returned
+        for index, target in targets:
+            grouped[index] = yield from _probe_target(
+                target, order, plan.provider_seed, plan.timeout_ms
+            )
 
-    with ThreadPoolExecutor(max_workers=plan.parallel) as pool:
-        grouped = list(pool.map(probe_target, plan.targets))
+    drive([worker() for _ in range(min(plan.parallel, len(plan.targets)))])
     return [trace for group in grouped for trace in group]
 
 

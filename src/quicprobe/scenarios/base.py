@@ -71,6 +71,7 @@ class ScenarioContext:
     trace: TraceBuilder
     provider_seed: int
     timeout_s: float
+    address: tuple | None = None  # the target's ``resolve`` result, if taken
     _conns: list[Connection] = field(default_factory=list)
 
     def connect(
@@ -94,6 +95,7 @@ class ScenarioContext:
             provider,
             self.trace,
             roster=roster,
+            address=self.address,
             **conn_kwargs,
         )
         self._conns.append(conn)
@@ -102,11 +104,12 @@ class ScenarioContext:
 
     def require_handshake(
         self, conn: Connection, results: dict | None = None, timeout_s: float | None = None
-    ) -> None:
+    ):
         """Complete the handshake a scenario needs before its own checks,
         within ``timeout_s`` (default: the scenario timeout), or raise
-        UnmetPrerequisite carrying ``results``."""
-        stage = perform_handshake(conn, self.timeout_s if timeout_s is None else timeout_s)
+        UnmetPrerequisite carrying ``results``. A generator, like
+        ``Connection.pump``."""
+        stage = yield from perform_handshake(conn, self.timeout_s if timeout_s is None else timeout_s)
         if stage is not None:
             raise UnmetPrerequisite(stage, results)
 
@@ -129,7 +132,9 @@ class Scenario:
     scenario_version = 1
     requires_handshake = False
 
-    def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
+    def run(self, ctx: ScenarioContext):
+        """A generator that yields the scenario's waits (see
+        ``quicprobe.conn.drive``) and returns its code and results."""
         raise NotImplementedError
 
 

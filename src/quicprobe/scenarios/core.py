@@ -62,13 +62,13 @@ class VersionNegotiationScenario(Scenario):
     name = "version_negotiation"
     requires_handshake = False
 
-    def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
+    def run(self, ctx: ScenarioContext):
         conn = ctx.connect(
             roster={"parser", "bundler"},
             version=RESERVED_VERSION,
         )
         conn.queue_frame(EncryptionLevel.INITIAL, PingFrame())
-        conn.run_until(
+        yield from conn.run_until(
             lambda: conn.version_negotiation is not None
             or conn.malformed_version_negotiation is not None,
             ctx.timeout_s,
@@ -94,9 +94,9 @@ class HandshakeScenario(Scenario):
     name = "handshake"
     requires_handshake = False
 
-    def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
+    def run(self, ctx: ScenarioContext):
         conn = ctx.connect(roster=FULL_ROSTER)
-        stage = perform_handshake(conn, ctx.timeout_s)
+        stage = yield from perform_handshake(conn, ctx.timeout_s)
         if stage is not None:
             return HANDSHAKE_FAILURE_CODES[stage], {"stage": stage.value}
         # probe 1-RTT usability: elicit an acknowledgement under the new keys.
@@ -105,7 +105,7 @@ class HandshakeScenario(Scenario):
         app_space = conn.space(EncryptionLevel.ONE_RTT)
         probe_pn = app_space.next_pn
         conn.queue_frame(EncryptionLevel.ONE_RTT, PingFrame())
-        conn.run_until(
+        yield from conn.run_until(
             lambda: conn.decrypt_failures.get(EncryptionLevel.ONE_RTT, 0) > 0
             or app_space.largest_acked >= probe_pn,
             min(REPLY_CAP_S, ctx.timeout_s),
@@ -119,9 +119,9 @@ class TransportParametersScenario(Scenario):
     name = "transport_parameters"
     requires_handshake = True
 
-    def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
+    def run(self, ctx: ScenarioContext):
         conn = ctx.connect(roster=FULL_ROSTER)
-        ctx.require_handshake(conn)
+        yield from ctx.require_handshake(conn)
         raw = conn.provider.peer_tp_raw or b""
         results = {
             "raw_hex": raw.hex(),
@@ -140,18 +140,19 @@ class AddressValidationScenario(Scenario):
     name = "address_validation"
     requires_handshake = True
 
-    def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
+    def run(self, ctx: ScenarioContext):
         conn = ctx.connect(
             roster={"parser", "tls", "retransmission", "bundler", "handshake"},
             hold_client_finished=True,
         )
         phase_s = VALIDATION_PHASE_SHARE * ctx.timeout_s
-        if not conn.run_until(lambda: conn.client_finished_ready, phase_s):
+        ready = yield from conn.run_until(lambda: conn.client_finished_ready, phase_s)
+        if not ready:
             raise UnmetPrerequisite(unfinished_stage(conn))
-        conn.settle(VALIDATION_SETTLE_S)
+        yield from conn.settle(VALIDATION_SETTLE_S)
         received, sent = conn.bytes_received, conn.bytes_sent
         conn.release_client_finished()
-        ctx.require_handshake(conn, timeout_s=phase_s)
+        yield from ctx.require_handshake(conn, timeout_s=phase_s)
         results = {
             "bytes_received_before_validation": received,
             "bytes_sent": sent,
@@ -168,23 +169,23 @@ class FlowControlScenario(Scenario):
     name = "flow_control"
     requires_handshake = True
 
-    def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
+    def run(self, ctx: ScenarioContext):
         conn = ctx.connect(
             roster=FULL_ROSTER,
             client_tp=default_client_tp(
                 {TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL: 80, TP_INITIAL_MAX_DATA: 1024}
             ),
         )
-        ctx.require_handshake(conn)
+        yield from ctx.require_handshake(conn)
         conn.send_stream(0, REQUEST, fin=True)
         stream = conn.stream(0)
-        conn.run_until(
+        yield from conn.run_until(
             lambda: stream.recv.highest_offset >= 80
             or conn.empty_stream_frames_received
             or conn.blocked_frames_received > BLOCKED_LOOP_THRESHOLD,
             min(RESPONSE_CAP_S, ctx.timeout_s),
         )
-        conn.settle(BURST_SETTLE_S)
+        yield from conn.settle(BURST_SETTLE_S)
         first_burst = stream.recv.highest_offset
 
         def results() -> dict:
@@ -204,13 +205,13 @@ class FlowControlScenario(Scenario):
             return codes.FC_BLOCKED_LOOP, results()
 
         conn.raise_stream_limit(0, 160)
-        conn.run_until(
+        yield from conn.run_until(
             lambda: stream.recv.highest_offset > first_burst
             or conn.empty_stream_frames_received
             or conn.blocked_frames_received > BLOCKED_LOOP_THRESHOLD,
             min(RESPONSE_CAP_S, ctx.timeout_s),
         )
-        conn.settle(BURST_SETTLE_S)
+        yield from conn.settle(BURST_SETTLE_S)
         if conn.empty_stream_frames_received:
             return codes.FC_EMPTY_STREAM_FRAME, results()
         if stream.recv.highest_offset > 160:
@@ -228,13 +229,13 @@ class StreamOpeningReorderingScenario(Scenario):
     name = "stream_opening_reordering"
     requires_handshake = True
 
-    def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
+    def run(self, ctx: ScenarioContext):
         # no retransmission agent: a timer-driven in-order resend would
         # mask exactly the reordering behaviour this test observes
         conn = ctx.connect(
             roster={"parser", "tls", "ack", "flow_control", "handshake", "bundler", "closing"},
         )
-        ctx.require_handshake(conn)
+        yield from ctx.require_handshake(conn)
         base = conn.space(EncryptionLevel.ONE_RTT).next_pn
         conn.send_packet(
             EncryptionLevel.ONE_RTT,
@@ -247,11 +248,12 @@ class StreamOpeningReorderingScenario(Scenario):
             packet_number=base,
         )
         stream = conn.stream(0)
-        if conn.run_until(
+        answered = yield from conn.run_until(
             lambda: stream.recv.delivered or conn.closed or conn.flagged_acks_received,
             min(RESPONSE_CAP_S, ctx.timeout_s),
-        ):
-            conn.settle(REORDER_SETTLE_S)
+        )
+        if answered:
+            yield from conn.settle(REORDER_SETTLE_S)
         results = {
             "response_bytes": len(stream.recv.delivered),
             "flagged_acks": conn.flagged_acks_received,
@@ -271,11 +273,11 @@ class ZeroRttScenario(Scenario):
     name = "zero_rtt"
     requires_handshake = True
 
-    def run(self, ctx: ScenarioContext) -> tuple[int, dict]:
+    def run(self, ctx: ScenarioContext):
         results = {"ticket_received": False, "zero_rtt_accepted": False, "request_answered": False}
         conn1 = ctx.connect(roster=FULL_ROSTER)
-        ctx.require_handshake(conn1, results)
-        conn1.run_until(
+        yield from ctx.require_handshake(conn1, results)
+        yield from conn1.run_until(
             lambda: conn1.provider.resumption_ticket() is not None,
             min(REPLY_CAP_S, ctx.timeout_s),
         )
@@ -295,12 +297,14 @@ class ZeroRttScenario(Scenario):
             assumed_peer_tp=remembered_tp,
         )
         conn2.send_stream(0, REQUEST, fin=True, level=EncryptionLevel.ZERO_RTT)
-        ctx.require_handshake(conn2, results)
+        yield from ctx.require_handshake(conn2, results)
         results["zero_rtt_accepted"] = conn2.provider.early_data_accepted
         if not conn2.provider.early_data_accepted:
             return codes.ZR_REJECTED, results
         stream = conn2.stream(0)
-        conn2.run_until(lambda: stream.recv.finished, min(RESPONSE_CAP_S, ctx.timeout_s))
+        yield from conn2.run_until(
+            lambda: stream.recv.finished, min(RESPONSE_CAP_S, ctx.timeout_s)
+        )
         results["request_answered"] = bool(stream.recv.delivered)
         if not stream.recv.delivered:
             return codes.ZR_UNANSWERED, results

@@ -145,8 +145,8 @@ class Trace:
 
 class TraceBuilder:
     """Collects one scenario run. A builder belongs to one scenario on one
-    thread: ``run_suite`` runs each scenario in its own thread, so appends
-    need no lock."""
+    thread: ``run_suite`` runs every scenario on one loop in the calling
+    thread, so appends need no lock."""
 
     def __init__(self, scenario: str, scenario_version: int, target: dict):
         self.scenario = scenario

@@ -12,10 +12,12 @@ from quicprobe.conn import (
     PrerequisiteError,
     StreamRecv,
     build_ack,
+    drive,
     perform_handshake,
 )
 from quicprobe.conn.agents import AGENT_TYPES, HOOKS, Agent
 from quicprobe.conn.streams import FlowControlAssertion
+from quicprobe.faultsrv import ServerConfig, serve
 from quicprobe.protection import (
     EncryptionLevel,
     NullHandshakeProvider,
@@ -156,7 +158,7 @@ class TestDispatch:
         sent = conn.send_packet(
             EncryptionLevel.INITIAL, [AckFrame(largest_acked=0), crypto, PaddingFrame(20)]
         )
-        conn.run_until(lambda: bool(conn.queues[EncryptionLevel.INITIAL]), 2.0)
+        drive([conn.run_until(lambda: bool(conn.queues[EncryptionLevel.INITIAL]), 2.0)])
         assert conn.queues[EncryptionLevel.INITIAL] == [crypto]
         assert sent.header.packet_number not in conn.space(EncryptionLevel.INITIAL).sent
         conn.stop()
@@ -373,7 +375,7 @@ def test_parser_notes_header_parse_error_in_trace(silent_peer):
 
 def test_perform_handshake_no_response(silent_peer):
     conn = make_conn(silent_peer)
-    assert perform_handshake(conn, 0.15) is HandshakeStage.NO_RESPONSE
+    assert drive([perform_handshake(conn, 0.15)]) == [HandshakeStage.NO_RESPONSE]
     conn.stop()
 
 
@@ -381,13 +383,35 @@ def test_queued_frame_goes_out_before_the_wait(silent_peer):
     trace = TraceBuilder("handshake", 1, {"name": "t"})
     conn = make_conn(silent_peer, roster={"retransmission", "bundler"}, trace=trace)
     conn.queue_frame(EncryptionLevel.INITIAL, PingFrame())
-    conn.run_until(lambda: False, 1.5)
+    drive([conn.run_until(lambda: False, 1.5)])
     sent_ms = [entry["timestamp_ms"] for entry in trace.packets if entry["direction"] == "tx"]
     conn.stop()
     # sent at once, and the timer that send armed brings the resend at
     # 500 ms, not at the deadline
     assert sent_ms[0] < 100, sent_ms
     assert 450 <= sent_ms[1] < 900, sent_ms
+
+
+def test_the_rtt_sample_starts_before_the_send(monkeypatch):
+    # a peer can answer before the send returns, so the clock must start
+    # before it: here each send stalls 20 ms before its datagram goes out,
+    # and the sample must hold those 20 ms
+    class StallingSocket(socket.socket):
+        def send(self, data, *args):
+            time.sleep(0.02)
+            return super().send(data, *args)
+
+    server = serve(ServerConfig(seed=1))  # make_conn's provider seed
+    try:
+        monkeypatch.setattr(socket, "socket", StallingSocket)
+        conn = make_conn(("127.0.0.1", server.port))
+        monkeypatch.undo()
+        drive([conn.run_until(lambda: conn.rtt is not None, 2.0)])
+        conn.stop()
+    finally:
+        server.stop()
+    assert server.errors == []
+    assert conn.rtt is not None and 0.02 <= conn.rtt < 0.5, conn.rtt
 
 
 def test_settle_sees_a_datagram_that_arrives_late():
@@ -399,7 +423,7 @@ def test_settle_sees_a_datagram_that_arrives_late():
     try:
         peer.sendto(b"\x00" * 50, client)
         late.start()
-        conn.settle(0.3)
+        drive([conn.settle(0.3)])
         assert conn.bytes_received == 120
     finally:
         late.join()
@@ -421,11 +445,11 @@ def sampled_conn(peer, delay=0.0, **kwargs):
     seconds late, so it holds one RTT sample; and the client's address."""
     conn = make_conn(peer.getsockname(), roster={"bundler"}, **kwargs)
     conn.queue_frame(EncryptionLevel.INITIAL, PingFrame())
-    conn.pump(0)
+    drive([conn.pump(0)])
     _, client = peer.recvfrom(65535)
     time.sleep(delay)
     peer.sendto(b"\x00" * 30, client)
-    conn.pump(1.0)
+    drive([conn.pump(1.0)])
     assert conn.rtt is not None and conn.rtt >= delay
     return conn, client
 
@@ -446,7 +470,7 @@ def test_settle_ends_one_probe_timeout_after_the_peer_fell_silent(
         pto = 3 * conn.rtt + max_ack_delay_ms / 1000
         assert conn.probe_timeout() == pytest.approx(pto)
         t0 = time.monotonic()
-        conn.settle(1.0)
+        drive([conn.settle(1.0)])
         waited = time.monotonic() - t0
     finally:
         conn.stop()
@@ -476,7 +500,7 @@ def test_settle_watches_a_peer_that_keeps_sending_for_the_whole_window(scripted_
     sender = threading.Thread(target=send_every_20ms)
     sender.start()
     try:
-        conn.settle(0.3)
+        drive([conn.settle(0.3)])
         waited = time.monotonic() - start
     finally:
         sender.join(2.0)
@@ -490,7 +514,7 @@ def test_settle_watches_a_peer_that_keeps_sending_for_the_whole_window(scripted_
 def test_settle_without_an_rtt_sample_runs_the_whole_window(silent_peer):
     conn = make_conn(silent_peer, roster=frozenset())
     try:
-        conn.settle(0.1)
+        drive([conn.settle(0.1)])
     finally:
         conn.stop()
     detail = conn.trace.notes[-1]["detail"]
@@ -532,14 +556,14 @@ class TestRetry:
             first, hello, _, addr = self.read_initial(peer, conn.original_dcid)
             assert first.token == b""
             peer.sendto(self.retry(conn, b"\x11" * 8, b"tok"), addr)
-            conn.pump(1.0)
+            drive([conn.pump(1.0)])
             again, crypto, size, _ = self.read_initial(peer, b"\x11" * 8)
             assert (again.dcid, again.token, crypto) == (b"\x11" * 8, b"tok", hello)
             assert again.packet_number > first.packet_number  # numbers go on
             assert size >= 1200
             # a second Retry is not followed
             peer.sendto(self.retry(conn, b"\x22" * 8, b"tok2"), addr)
-            conn.pump(1.0)
+            drive([conn.pump(1.0)])
             assert (conn.dcid, conn.retry_token) == (b"\x11" * 8, b"tok")
             assert [n["detail"] for n in conn.trace.notes if n["kind"] == "retry_discarded"] == [
                 "not the server's first answer"
@@ -559,7 +583,7 @@ class TestRetry:
         try:
             _, _, _, addr = self.read_initial(peer, conn.original_dcid)
             peer.sendto(self.retry(conn, *scid_token_tag), addr)
-            conn.pump(1.0)
+            drive([conn.pump(1.0)])
             assert (conn.dcid, conn.retry_token) == (conn.original_dcid, b"")
             assert [n["detail"] for n in conn.trace.notes] == [reason]
         finally:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from quicprobe.conn import FULL_ROSTER, Connection, perform_handshake
+from quicprobe.conn import FULL_ROSTER, Connection, drive, perform_handshake
 from quicprobe.faultsrv import (
     FaultServer,
     FaultSpec,
@@ -72,10 +72,10 @@ def test_interleaved_connections_on_one_server():
         # both Initials reach the server before either handshake goes on
         conns = [connect(server), connect(server)]
         for conn in conns:
-            assert perform_handshake(conn, 3.0) is None
+            assert drive([perform_handshake(conn, 3.0)]) == [None]
         for conn in conns:
             conn.send_stream(0, b"GET /index.html\r\n", fin=True)
-            conn.run_until(lambda: conn.stream(0).recv.finished, 3.0)
+            drive([conn.run_until(lambda: conn.stream(0).recv.finished, 3.0)])
             assert conn.stream(0).recv.delivered.endswith(b"</html>")
         for conn in conns:
             conn.close()
@@ -123,7 +123,7 @@ def test_idle_connections_are_forgotten():
 def test_tp_duplicate_blob_contains_initial_max_data_twice():
     with fault_server("tp_duplicate") as server:
         conn = connect(server)
-        assert perform_handshake(conn, 3.0) is None
+        assert drive([perform_handshake(conn, 3.0)]) == [None]
         ids = tp_ids(conn.provider.peer_tp_raw)
         assert ids.count(0x04) == 2
         conn.close()
@@ -134,17 +134,21 @@ def test_stream_blocked_spam_sends_25_blocked_and_duplicates_second_half():
     with fault_server("stream_blocked_spam") as server:
         tp = default_client_tp({TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL: 80, TP_INITIAL_MAX_DATA: 4096})
         conn = connect(server, client_tp=tp)
-        assert perform_handshake(conn, 3.0) is None
+        assert drive([perform_handshake(conn, 3.0)]) == [None]
         conn.send_stream(0, b"GET /index.html\r\n", fin=True)
-        conn.run_until(
-            lambda: conn.stream(0).recv.highest_offset >= 80
-            and conn.blocked_frames_received >= 25,
-            3.0,
+        drive(
+            [
+                conn.run_until(
+                    lambda: conn.stream(0).recv.highest_offset >= 80
+                    and conn.blocked_frames_received >= 25,
+                    3.0,
+                )
+            ]
         )
         assert conn.blocked_frames_received >= 25
         # raise the limit anyway: the second half must arrive duplicated
         conn.raise_stream_limit(0, 160)
-        conn.run_until(lambda: conn.stream(0).recv.finished, 3.0)
+        drive([conn.run_until(lambda: conn.stream(0).recv.finished, 3.0)])
         assert conn.stream(0).recv.delivered.endswith(b"</html>")
         # count server STREAM frames at offset 80: the duplicate retransmission
         from quicprobe.wire import StreamFrame, parse_frames, parse_header
@@ -166,8 +170,8 @@ def test_stream_blocked_spam_sends_25_blocked_and_duplicates_second_half():
 def test_no_amplification_blast_is_padding_at_handshake_level():
     with fault_server("no_amplification_limit") as server:
         conn = connect(server)
-        assert perform_handshake(conn, 3.0) is None
-        conn.run_until(lambda: conn.bytes_received > 20_000, 3.0)
+        assert drive([perform_handshake(conn, 3.0)]) == [None]
+        drive([conn.run_until(lambda: conn.bytes_received > 20_000, 3.0)])
         assert conn.bytes_received > 20_000
         conn.close()
         conn.stop()
@@ -177,8 +181,8 @@ def test_reject_0rtt_drops_early_data_but_completes_handshake():
     with fault_server("reject_0rtt") as server:
         # first connection: harvest the ticket
         conn1 = connect(server)
-        assert perform_handshake(conn1, 3.0) is None
-        conn1.run_until(lambda: conn1.provider.resumption_ticket() is not None, 2.0)
+        assert drive([perform_handshake(conn1, 3.0)]) == [None]
+        drive([conn1.run_until(lambda: conn1.provider.resumption_ticket() is not None, 2.0)])
         ticket = conn1.provider.resumption_ticket()
         assert ticket is not None
         conn1.close()
@@ -198,7 +202,7 @@ def test_reject_0rtt_drops_early_data_but_completes_handshake():
         )
         conn2.start()
         conn2.send_stream(0, b"GET /index.html\r\n", fin=True, level=EncryptionLevel.ZERO_RTT)
-        assert perform_handshake(conn2, 3.0) is None
+        assert drive([perform_handshake(conn2, 3.0)]) == [None]
         assert not conn2.provider.early_data_accepted
         conn2.close()
         conn2.stop()
@@ -208,9 +212,9 @@ def test_bad_1rtt_protection_corrupts_only_control_packets():
     with fault_server("bad_1rtt_protection") as server:
         tp = default_client_tp()
         conn = connect(server, client_tp=tp)
-        assert perform_handshake(conn, 3.0) is None
+        assert drive([perform_handshake(conn, 3.0)]) == [None]
         conn.send_stream(0, b"GET /index.html\r\n", fin=True)
-        conn.run_until(lambda: conn.stream(0).recv.finished, 3.0)
+        drive([conn.run_until(lambda: conn.stream(0).recv.finished, 3.0)])
         # data still flows: packets carrying STREAM frames are untouched
         assert conn.stream(0).recv.delivered.endswith(b"</html>")
         corrupted = [e for e in server.sent_log if e["corrupted"]]

@@ -168,7 +168,7 @@ def test_reordering_settles_only_after_an_answer(monkeypatch, compliant_server):
 
     def recording_settle(conn, seconds):
         settles.append(seconds)
-        settle(conn, seconds)
+        yield from settle(conn, seconds)
 
     monkeypatch.setattr(Connection, "settle", recording_settle)
     silent = serve(ServerConfig(fault=FaultSpec(name="reorder_livelock")))

@@ -194,6 +194,41 @@ class TestUnreachableTarget:
             if ALL_SCENARIOS[trace.scenario].requires_handshake:
                 assert 200 <= trace.error_code <= 255, (trace.scenario, trace.error_code)
 
+    def test_each_target_is_resolved_once_before_its_scenarios(self, monkeypatch):
+        # one blocking lookup per connection would stall every other
+        # connection on the loop; a name that does not resolve still gives
+        # every scenario the prerequisite code and the resolver's error
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        lookups = []
+        getaddrinfo = socket.getaddrinfo
+
+        def counting_getaddrinfo(host, *args, **kwargs):
+            lookups.append(host)
+            return getaddrinfo(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", counting_getaddrinfo)
+        # the second name's 64-byte label fails IDNA encoding: no query is sent
+        unresolvable = ["nonexistent.invalid.", "a" * 64 + ".invalid."]
+        plan = SuitePlan(
+            targets=[{"name": host, "host": host, "port": 443} for host in unresolvable]
+            + [{"name": "silent", "host": "127.0.0.1", "port": sock.getsockname()[1]}],
+            seed=2,
+            timeout_ms=200,
+        )
+        try:
+            traces = run_suite(plan)
+        finally:
+            sock.close()
+        assert lookups == unresolvable + ["127.0.0.1"]
+        assert len(traces) == 3 * len(ALL_SCENARIOS)
+        for host in unresolvable:
+            unresolved = [t for t in traces if t.target["name"] == host]
+            assert [t.scenario for t in unresolved] == scenario_order(plan.scenarios, plan.seed)
+            for trace in unresolved:
+                assert trace.error_code == codes.PREREQ_UNRESOLVED
+                assert trace.results["error"].startswith(f"cannot resolve {host}: ")
+
     def test_suite_completes_even_when_everything_errors(self):
         plan = SuitePlan(
             targets=[{"name": "void", "host": "127.0.0.1", "port": 1}],
