@@ -20,10 +20,9 @@ from ..protection import (
     KeyMaterial,
     PACKET_TYPE_FOR_LEVEL,
     SPACE_FOR_LEVEL,
-    cleartext_packet_bytes,
     derive_initial_keys,
     packet_number_length,
-    protect,
+    seal_packet,
 )
 from ..wire import (
     QUIC_V1,
@@ -249,8 +248,11 @@ class Connection:
         or less if the retransmission deadline falls sooner, then hand each
         datagram to the parser, check the deadline and send what that
         queued. A generator: it yields its wait to ``drive``, which resumes
-        it with the time the socket was seen readable, the arrival time of
-        every datagram read then, or with None once the wait is over."""
+        it with the time of the first select that saw the socket readable,
+        the arrival time of every datagram read then, or with None once the
+        wait is over. That select may come before the wait's turn to run,
+        while other connections start, so the RTT sample does not include
+        their start-up."""
         if self.sock is None:
             return
         # a deadline set by this send bounds the wait below
@@ -517,7 +519,7 @@ class Connection:
             packet_number=pn,
             pn_length=pn_length,
         )
-        packet = protect(header, plaintext, keys)
+        packet, cleartext = seal_packet(header, plaintext, keys)
         self._sendto(packet)
         space.sent[pn] = SentPacket(
             frames=frames,
@@ -525,9 +527,7 @@ class Connection:
             ack_eliciting=is_ack_eliciting(frames),
             level=level,
         )
-        self.trace.log_packet(
-            "tx", level.label, cleartext_packet_bytes(header, plaintext), len(self.dcid)
-        )
+        self.trace.log_packet("tx", level.label, cleartext, len(self.dcid))
         sent = Packet(header=header, frames=frames, level=level)
         self.run_hook("sent", sent)
         return sent

@@ -5,7 +5,8 @@ aioquic's ``QuicConnection``: ``Connection.pump`` yields ``(sock,
 timeout_s)``, and whatever waits on it (``run_until``, ``settle``, a
 scenario's ``run``) passes that up with ``yield from``. ``drive`` is the
 only code of a run that waits: one ``selectors`` call over every socket
-a task waits on, up to the earliest deadline.
+a task waits on, up to the earliest deadline, and a poll that does not
+wait whenever a task begins a wait while others are queued to run.
 """
 
 from __future__ import annotations
@@ -34,15 +35,18 @@ def drive(tasks) -> list:
     one has returned, and return their return values in order.
 
     A task yields ``(sock, timeout_s)`` to wait until ``sock`` is readable
-    or ``timeout_s`` has passed. It is resumed with the monotonic time at
-    which the wait saw ``sock`` readable, the arrival time of whatever it
-    then reads, or with None once the timeout has passed. A task yields a
-    list of generators to run them as tasks too, and is resumed with
-    their return values once all of them have returned.
+    or ``timeout_s`` has passed. It is resumed with the monotonic time of
+    the first select that saw ``sock`` readable, the arrival time of
+    whatever it then reads, or with None once the timeout has passed. A
+    task yields a list of generators to run them as tasks too, and is
+    resumed with their return values once all of them have returned.
 
     Tasks start in order, each running to its first wait before the next
-    one starts. An exception in a task closes every other task and
-    propagates to the caller."""
+    one starts. When a task begins a wait while others are still queued
+    to run, the sockets are polled without waiting, so an answer already
+    there is stamped before the queued tasks run (a burst of connection
+    starts); a task found readable is queued behind them. An exception in
+    a task closes every other task and propagates to the caller."""
     root = _Task(None, None, 0)
     ready: deque[tuple[_Task, object]] = deque()  # tasks to resume, with what
     waiting: dict[_Task, None] = {}  # in the order their waits began
@@ -62,6 +66,15 @@ def drive(tasks) -> list:
         selector.unregister(task.sock)
         del waiting[task]
         ready.append((task, value))
+
+    def poll(timeout_s: float) -> float:
+        """Resume every task whose socket is readable within ``timeout_s``
+        with the time this select returned, and return that time."""
+        events = selector.select(timeout_s)
+        now = time.monotonic()
+        for key, _ in events:
+            resume(key.data, now)
+        return now
 
     spawn(root, list(tasks))
     with selectors.DefaultSelector() as selector:
@@ -86,13 +99,14 @@ def drive(tasks) -> list:
                     task.deadline = time.monotonic() + timeout_s
                     selector.register(task.sock, selectors.EVENT_READ, task)
                     waiting[task] = None
+                    if ready:
+                        # the queued tasks may run for a while: stamp what
+                        # has arrived before they do
+                        poll(0)
                 if not waiting:
                     return root.results
                 earliest = min(task.deadline for task in waiting)
-                events = selector.select(max(0.0, earliest - time.monotonic()))
-                now = time.monotonic()
-                for key, _ in events:
-                    resume(key.data, now)
+                now = poll(max(0.0, earliest - time.monotonic()))
                 for task in [task for task in waiting if task.deadline <= now]:
                     resume(task, None)
         finally:

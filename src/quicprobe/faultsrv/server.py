@@ -25,11 +25,10 @@ from ..protection import (
     SPACE_FOR_LEVEL,
     DecryptError,
     EncryptionLevel,
-    cleartext_packet_bytes,
     derive_initial_keys,
-    protect,
+    open_packet,
     retry_integrity_tag,
-    unprotect,
+    seal_packet,
 )
 from ..protection.provider import DEFAULT_PROVIDER_SEED, NullHandshakeProvider
 from ..wire import (
@@ -181,7 +180,9 @@ class _ServerConn:
 
     # -- receive ---------------------------------------------------------
 
-    def handle_datagram(self, data: bytes, level: EncryptionLevel) -> None:
+    def handle_datagram(self, data: bytes, level: EncryptionLevel, read: tuple) -> None:
+        """Open and answer one datagram whose header the server has read:
+        ``read`` is what ``read_header`` returned for it."""
         self.bytes_received += len(data)
         self.last_seen = time.monotonic()
         if self.livelocked:
@@ -191,9 +192,7 @@ class _ServerConn:
             return  # e.g. 0-RTT while not accepting early data
         space = self.spaces[SPACE_FOR_LEVEL[level]]
         try:
-            header, plaintext = unprotect(
-                data, keys, largest_pn=space.largest_received, short_dcid_len=len(self.scid)
-            )
+            header, plaintext = open_packet(data, read, keys, largest_pn=space.largest_received)
         except (DecryptError, ParseError):
             return
         was_largest = space.largest_received
@@ -394,7 +393,8 @@ class _ServerConn:
                     packet_number=pn,
                     pn_length=SERVER_PN_LENGTH,
                 )
-            packet = bytearray(protect(header, payload, keys))
+            sealed, cleartext = seal_packet(header, payload, keys)
+            packet = bytearray(sealed)
             corrupted = False
             if (
                 self.fault.active("bad_1rtt_protection")
@@ -404,7 +404,7 @@ class _ServerConn:
             ):
                 packet[-1] ^= 0xFF
                 corrupted = True
-            self.server.log_sent(level, cleartext_packet_bytes(header, payload), corrupted)
+            self.server.log_sent(level, cleartext, corrupted)
             self._send_datagram(bytes(packet))
 
     def _send_datagram(self, datagram: bytes) -> None:
@@ -527,9 +527,10 @@ class FaultServer:
 
     def _handle_datagram(self, data: bytes, addr) -> None:
         try:
-            header, _, _ = read_header(data, len(self.scid))
+            read = read_header(data, len(self.scid))
         except ParseError:
             return
+        header = read[0]
         if header.packet_type is PacketType.VERSION_NEGOTIATION:
             return  # never answered (RFC 8999 section 6)
         if header.version != QUIC_V1:
@@ -552,7 +553,7 @@ class FaultServer:
         conn = self.conns.get(addr)
         if conn is None:
             return
-        conn.handle_datagram(data, level)
+        conn.handle_datagram(data, level, read)
         if conn.closed:
             del self.conns[addr]
 

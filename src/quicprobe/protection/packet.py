@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import struct
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 from cryptography.exceptions import InvalidTag
@@ -27,9 +27,9 @@ from ..wire import (
     PacketType,
     check_first_byte,
     read_header,
-    serialize_header,
 )
 from ..wire.errors import TruncationError
+from ..wire.header import join_header, split_header
 
 INITIAL_SALT_V1 = bytes.fromhex("38762cf7f55934b34d179ae6a4c80cadccbb7f0a")
 # RFC 9001 section 5.8: fixed key and nonce of the Retry integrity tag
@@ -198,12 +198,20 @@ def _nonce(iv: bytes, packet_number: int) -> bytes:
 def cleartext_packet_bytes(header: PacketHeader, plaintext: bytes) -> bytes:
     """Header + decrypted payload as logged in traces: the long-header
     length field covers the packet number and plaintext but no AEAD tag."""
-    logged = replace(header, length=header.pn_length + len(plaintext))
-    return serialize_header(logged) + plaintext
+    return join_header(split_header(header), header.pn_length + len(plaintext)) + plaintext
 
 
 def protect(header: PacketHeader, plaintext: bytes, keys: KeyMaterial) -> bytes:
     """Seal and header-protect one packet into wire bytes."""
+    return seal_packet(header, plaintext, keys)[0]
+
+
+def seal_packet(
+    header: PacketHeader, plaintext: bytes, keys: KeyMaterial
+) -> tuple[bytes, bytes]:
+    """``protect`` and ``cleartext_packet_bytes`` of one packet at once,
+    its header serialized once: the packet's wire bytes and its cleartext
+    as logged in traces."""
     if header.packet_type not in LEVEL_FOR_PACKET_TYPE:
         raise ProtectionError(f"cannot protect a {header.packet_type.value} packet")
     if LEVEL_FOR_PACKET_TYPE[header.packet_type] is not keys.level:
@@ -217,8 +225,10 @@ def protect(header: PacketHeader, plaintext: bytes, keys: KeyMaterial) -> bytes:
     if len(plaintext) + AEAD_TAG_LEN < 4 - header.pn_length + HP_SAMPLE_LEN:
         raise ProtectionError("payload too short to sample header protection")
 
-    sealed_len = header.pn_length + len(plaintext) + AEAD_TAG_LEN
-    aad = serialize_header(replace(header, length=sealed_len))
+    # the AAD and the logged header differ only in a long header's Length
+    parts = split_header(header)
+    cleartext_len = header.pn_length + len(plaintext)
+    aad = join_header(parts, cleartext_len + AEAD_TAG_LEN)
     nonce = _nonce(keys.iv, header.packet_number)
     sample_at = 4 - header.pn_length  # into the ciphertext, which follows the pn field
     with keys.lock:
@@ -230,7 +240,7 @@ def protect(header: PacketHeader, plaintext: bytes, keys: KeyMaterial) -> bytes:
     packet[0] ^= mask[0] & (0x0F if header.is_long else 0x1F)
     for i in range(header.pn_length):
         packet[pn_offset + i] ^= mask[1 + i]
-    return bytes(packet)
+    return bytes(packet), join_header(parts, cleartext_len) + plaintext
 
 
 def unprotect(
@@ -244,7 +254,18 @@ def unprotect(
     Returns the header (packet number already widened against
     ``largest_pn``) and the plaintext payload.
     """
-    header, pn_offset, end = read_header(buf, short_dcid_len)
+    return open_packet(buf, read_header(buf, short_dcid_len), keys, largest_pn)
+
+
+def open_packet(
+    buf: bytes,
+    read: tuple[PacketHeader, int, int],
+    keys: KeyMaterial,
+    largest_pn: int = -1,
+) -> tuple[PacketHeader, bytes]:
+    """``unprotect`` for a caller that has already read the packet's
+    header: ``read`` is what ``read_header`` returned for ``buf``."""
+    header, pn_offset, end = read
     if header.version != QUIC_V1:
         # the version is part of the AEAD's associated data: no version 1
         # keys open it, and its layout past the connection ids is unknown

@@ -229,8 +229,23 @@ def write_trace(trace: Trace, out_dir: str | Path) -> Path:
     day_dir = Path(out_dir) / trace.date
     day_dir.mkdir(parents=True, exist_ok=True)
     path = day_dir / trace_filename(trace)
-    _write_atomically(path, lambda fh: json.dump(trace.to_json(), fh, indent=1))
+    text = _trace_text(trace.to_json())
+    _write_atomically(path, lambda fh: fh.write(text))
     return path
+
+
+def _trace_text(doc: dict) -> str:
+    """A trace document as the file holds it: one top-level field per
+    line, and one packet or note per line, each encoded by ``json.dumps``
+    (whose C encoder ``indent`` would switch off)."""
+    fields = []
+    for key, value in doc.items():
+        if key in ("packets", "notes") and value:
+            items = ",\n".join(map(json.dumps, value))
+            fields.append(f"{json.dumps(key)}: [\n{items}\n]")
+        else:
+            fields.append(f"{json.dumps(key)}: {json.dumps(value)}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 @dataclass(frozen=True, slots=True)

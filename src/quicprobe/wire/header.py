@@ -66,6 +66,15 @@ class PacketHeader:
 
 
 def serialize_header(header: PacketHeader) -> bytes:
+    return join_header(split_header(header), header.length)
+
+
+def split_header(header: PacketHeader) -> tuple[bytes, bytes | None]:
+    """``serialize_header``'s bytes, split where a long header's Length
+    field goes: the bytes before it and the packet number field after
+    it. A header without a Length field (short, Retry, Version
+    Negotiation) is all in the first part, and the second is None. A
+    sender builds this once and joins it with each Length it needs."""
     # a Version Negotiation packet echoes connection ids of any version,
     # which RFC 8999 section 5.1 allows up to 255 bytes
     limit = 255 if header.packet_type is PacketType.VERSION_NEGOTIATION else 20
@@ -78,7 +87,7 @@ def serialize_header(header: PacketHeader) -> bytes:
         out += bytes([len(header.scid)]) + header.scid
         for version in header.supported_versions:
             out += struct.pack(">I", version)
-        return bytes(out)
+        return bytes(out), None
 
     if not 1 <= header.pn_length <= 4:
         raise SerializeError(f"pn_length must be 1-4, got {header.pn_length}")
@@ -86,7 +95,7 @@ def serialize_header(header: PacketHeader) -> bytes:
 
     if header.packet_type is PacketType.ONE_RTT:
         first = 0x40 | (header.pn_length - 1)
-        return bytes([first]) + header.dcid + pn_bytes
+        return bytes([first]) + header.dcid + pn_bytes, None
 
     first = 0x80 | 0x40 | (_LONG_TYPE_BITS[header.packet_type] << 4)
     out = bytearray()
@@ -96,11 +105,18 @@ def serialize_header(header: PacketHeader) -> bytes:
     if header.packet_type is PacketType.INITIAL:
         out += encode_varint(len(header.token)) + header.token
     if header.packet_type is PacketType.RETRY:
-        return bytes([first]) + bytes(out) + header.token
+        return bytes([first]) + bytes(out) + header.token, None
     first |= header.pn_length - 1
-    out += encode_varint(header.length)
-    out += pn_bytes
-    return bytes([first]) + bytes(out)
+    return bytes([first]) + bytes(out), pn_bytes
+
+
+def join_header(parts: tuple[bytes, bytes | None], length: int) -> bytes:
+    """The header ``split_header`` split into ``parts``, with ``length``
+    in its Length field if it has one."""
+    head, pn_bytes = parts
+    if pn_bytes is None:
+        return head
+    return head + encode_varint(length) + pn_bytes
 
 
 def packet_type_of(buf: bytes) -> PacketType:

@@ -94,7 +94,35 @@ def test_the_arrival_time_is_when_the_select_saw_the_socket(pairs):
         seen["b_resumed"] = time.monotonic()
 
     drive([slow(a), timed(b)])
-    assert seen["a"] == seen["b"] <= seen["b_resumed"] - 0.03
+    # each task gets the time of the first select that saw its socket
+    # readable: a's as a began its wait, b's as b began its own
+    assert seen["a"] <= seen["b"] <= seen["b_resumed"] - 0.03
+
+
+def test_an_arrival_is_stamped_before_a_slow_start_of_another_task(pairs):
+    # a's answer waits in the kernel while b's start is busy for 30 ms
+    (a, a_peer), (b, _), (c, _) = pairs
+    started = []
+    seen = {}
+
+    def answered():
+        started.append("a")
+        a_peer.send(b"x")
+        seen["a"] = yield a, 1.0
+
+    def slow_start():
+        started.append("b")
+        time.sleep(0.03)
+        seen["b_started"] = time.monotonic()
+        yield b, 0
+
+    def last():
+        started.append("c")
+        yield c, 0
+
+    drive([answered(), slow_start(), last()])
+    assert started == ["a", "b", "c"]
+    assert seen["a"] <= seen["b_started"] - 0.03
 
 
 def test_a_list_runs_as_tasks_whose_values_resume_their_parent(pairs):

@@ -218,7 +218,7 @@ def test_settle_judged_verdicts_hold_under_fast_thread_switching(fault, scenario
 
 
 def test_handler_error_is_recorded_and_server_keeps_serving(monkeypatch):
-    def broken(self, data, level):
+    def broken(self, data, level, read):
         raise RuntimeError("handler bug")
 
     server = serve(ServerConfig())
@@ -231,6 +231,40 @@ def test_handler_error_is_recorded_and_server_keeps_serving(monkeypatch):
         assert run_scenario("handshake", target_of(server)).error_code == 0
     finally:
         server.stop()
+
+
+def test_each_client_datagram_costs_the_server_one_header_read(monkeypatch):
+    from quicprobe.protection import packet as packet_module
+    from quicprobe.wire import header as header_module
+
+    reads = []
+    datagrams = []
+
+    def counting(read_header):
+        def read_in_server(*args, **kwargs):
+            if threading.current_thread().name == "faultsrv":
+                reads.append(args[0])
+            return read_header(*args, **kwargs)
+
+        return read_in_server
+
+    for module in (server_module, packet_module, header_module):
+        monkeypatch.setattr(module, "read_header", counting(module.read_header))
+    handle = server_module.FaultServer._handle_datagram
+
+    def counting_handle(server, data, addr):
+        datagrams.append(data)
+        return handle(server, data, addr)
+
+    monkeypatch.setattr(server_module.FaultServer, "_handle_datagram", counting_handle)
+    server = serve(ServerConfig())
+    try:
+        plan = SuitePlan(targets=[target_of(server)], seed=4)
+        assert [t.error_code for t in run_suite(plan)] == [0] * len(plan.scenarios)
+    finally:
+        server.stop()
+    assert server.errors == []
+    assert datagrams and reads == datagrams
 
 
 def test_send_error_is_recorded_and_server_keeps_serving():

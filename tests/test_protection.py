@@ -14,6 +14,7 @@ from quicprobe.protection import (
     DecryptError,
     EncryptionLevel,
     KeyMaterial,
+    ProtectionError,
     UnsupportedVersionError,
     cleartext_packet_bytes,
     decode_packet_number,
@@ -22,9 +23,17 @@ from quicprobe.protection import (
     packet_number_length,
     protect,
     retry_integrity_tag,
+    seal_packet,
     unprotect,
 )
-from quicprobe.wire import PacketHeader, PacketType, parse_frames, parse_header, serialize_header
+from quicprobe.wire import (
+    QUIC_V1,
+    PacketHeader,
+    PacketType,
+    parse_frames,
+    parse_header,
+    serialize_header,
+)
 
 from . import hkdf_oracle
 from .exchange import CLIENT_ADDR, Exchange
@@ -229,6 +238,47 @@ def test_reused_ciphers_match_fresh_ones_over_a_thousand_packets():
             packet, keys[level], largest_pn=header.packet_number - 1, short_dcid_len=len(DCID)
         )
         assert (recovered, parsed.packet_number) == (payload, header.packet_number)
+
+
+SEND_KEYS = {
+    level: key_material_from_secret(bytes([level + 8]) * 32, level, "client")
+    for level in LEVEL_PACKET_TYPES
+}
+
+
+@given(
+    packet_type=st.sampled_from(list(PacketType)),
+    pn_length=st.integers(min_value=1, max_value=4),
+    pn=st.integers(min_value=0, max_value=(1 << 32) - 1),
+    token_len=st.sampled_from([0, 1, 70]),
+    # pn_length + this crosses 63/64, where the Length varint grows a byte,
+    # with and without the AEAD tag
+    plaintext_len=st.integers(min_value=38, max_value=66),
+)
+def test_the_send_path_matches_a_header_serialized_for_each_length(
+    packet_type, pn_length, pn, token_len, plaintext_len
+):
+    header = PacketHeader(
+        packet_type=packet_type,
+        dcid=DCID,
+        scid=b"\x01\x02",
+        token=bytes(range(token_len)),
+        packet_number=pn % (1 << (8 * pn_length)),
+        pn_length=pn_length,
+        supported_versions=[QUIC_V1, 0x1A2A3A4A],
+    )
+    plaintext = bytes(range(plaintext_len))
+    logged = replace(header, length=pn_length + plaintext_len)
+    cleartext = serialize_header(logged) + plaintext
+    assert cleartext_packet_bytes(header, plaintext) == cleartext
+    level = {v: k for k, v in LEVEL_PACKET_TYPES.items()}.get(packet_type)
+    if level is None:
+        with pytest.raises(ProtectionError):
+            seal_packet(header, plaintext, SEND_KEYS[EncryptionLevel.INITIAL])
+        return
+    packet = fresh_cipher_protect(header, plaintext, SEND_KEYS[level])
+    assert protect(header, plaintext, SEND_KEYS[level]) == packet
+    assert seal_packet(header, plaintext, SEND_KEYS[level]) == (packet, cleartext)
 
 
 def test_key_material_compares_and_prints_by_its_keys_alone():

@@ -69,23 +69,57 @@ class TestPersistence:
             ((D1, "alpha", "handshake"), CorpusEntry(0, (1, 0x51474F), f"{D1}/alpha_handshake.json"))
         ]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        packets=st.lists(
+            st.fixed_dictionaries(
+                {"direction": st.sampled_from(["tx", "rx"]), "cleartext_hex": st.text(max_size=8)}
+            ),
+            max_size=3,
+        ),
+        notes=st.lists(
+            st.fixed_dictionaries(
+                {"kind": st.text(max_size=6), "detail": st.none() | st.integers() | st.lists(st.text())}
+            ),
+            max_size=3,
+        ),
+        extra=st.dictionaries(st.text(max_size=6).map(lambda k: "x-" + k), st.text(max_size=6), max_size=2),
+    )
+    def test_a_written_file_holds_the_document_one_packet_or_note_a_line(
+        self, packets, notes, extra
+    ):
+        trace = make_trace(D1, "alpha", "handshake", 0, {"versions": [1]})
+        trace.packets, trace.notes, trace.extra = packets, notes, extra
+        with tempfile.TemporaryDirectory() as out:
+            text = write_trace(trace, out).read_text()
+        assert json.loads(text) == trace.to_json()
+        fields = len(trace.to_json())
+        lists = [items for items in (packets, notes) if items]
+        assert text.count("\n") == 2 + fields + sum(len(items) + 1 for items in lists)
+
     def test_a_failed_write_leaves_the_old_trace(self, tmp_path, monkeypatch):
         path = write_trace(make_trace(D1, "alpha", "handshake", 0), tmp_path)
         before = path.read_bytes()
         inode = path.stat().st_ino
-        dump = json.dump
 
-        def half(doc, fh, **kwargs):
-            fh.write(json.dumps(doc, **kwargs)[:40])
-            raise OSError(28, "No space left on device")
+        def half_open(name, mode):
+            fh = open(name, mode)
+            write = fh.write
 
-        monkeypatch.setattr(json, "dump", half)
+            def half(text):
+                write(text[:40])
+                raise OSError(28, "No space left on device")
+
+            fh.write = half
+            return fh
+
+        monkeypatch.setattr(model, "open", half_open, raising=False)
         with pytest.raises(OSError, match="No space left"):
             write_trace(make_trace(D1, "alpha", "handshake", 3), tmp_path)
         assert path.read_bytes() == before
         assert os.listdir(path.parent) == [path.name]
 
-        monkeypatch.setattr(json, "dump", dump)
+        monkeypatch.delattr(model, "open")
         assert write_trace(make_trace(D1, "alpha", "handshake", 3), tmp_path) == path
         assert read_trace(path).error_code == 3
         assert path.stat().st_ino != inode  # a new file, which the verdict index sees
