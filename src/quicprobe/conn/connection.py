@@ -272,8 +272,9 @@ class Connection:
                         self.port_refused = True
                     self.trace.note("socket_error", {"errno": exc.errno, "error": exc.strerror})
                     break
-                if not datagram:
-                    break
+                if not datagram:  # holds no QUIC packet: noted, not parsed or counted
+                    self.trace.note("empty_datagram", "zero-length datagram skipped")
+                    continue
                 self.last_received_at = arrived
                 if self.rtt is None and self.first_sent_at is not None:
                     self.rtt = arrived - self.first_sent_at

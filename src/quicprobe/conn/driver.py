@@ -3,14 +3,16 @@
 Every wait of a connection is a generator step, in the sans-I/O shape of
 aioquic's ``QuicConnection``: ``Connection.pump`` yields ``(sock,
 timeout_s)``, and whatever waits on it (``run_until``, ``settle``, a
-scenario's ``run``) passes that up with ``yield from``. ``drive`` is the
-only code of a run that waits: one ``selectors`` call over every socket
+scenario's ``run``) passes that up with ``yield from``; the reference
+server's ``FaultServer.task`` yields its waits too. ``drive`` is the only
+code of the program that waits: one ``selectors`` call over every socket
 a task waits on, up to the earliest deadline, and a poll that does not
 wait whenever a task begins a wait while others are queued to run.
 """
 
 from __future__ import annotations
 
+import math
 import selectors
 import time
 from collections import deque
@@ -30,23 +32,25 @@ class _Task:
     deadline: float = 0.0
 
 
-def drive(tasks) -> list:
+def drive(tasks, services=()) -> list:
     """Run the generators ``tasks`` together on this thread until every
-    one has returned, and return their return values in order.
+    one has returned, and return their return values in order; then close
+    the generators ``services``, which run alongside them.
 
     A task yields ``(sock, timeout_s)`` to wait until ``sock`` is readable
-    or ``timeout_s`` has passed. It is resumed with the monotonic time of
-    the first select that saw ``sock`` readable, the arrival time of
-    whatever it then reads, or with None once the timeout has passed. A
-    task yields a list of generators to run them as tasks too, and is
-    resumed with their return values once all of them have returned.
+    or ``timeout_s`` has passed; a ``timeout_s`` of None never passes. It
+    is resumed with the monotonic time of the first select that saw
+    ``sock`` readable, the arrival time of whatever it then reads, or with
+    None once the timeout has passed. A task yields a list of generators
+    to run them as tasks too, and is resumed with their return values once
+    all of them have returned.
 
     Tasks start in order, each running to its first wait before the next
     one starts. When a task begins a wait while others are still queued
     to run, the sockets are polled without waiting, so an answer already
     there is stamped before the queued tasks run (a burst of connection
     starts); a task found readable is queued behind them. An exception in
-    a task closes every other task and propagates to the caller."""
+    a task or service closes every other one and propagates to the caller."""
     root = _Task(None, None, 0)
     ready: deque[tuple[_Task, object]] = deque()  # tasks to resume, with what
     waiting: dict[_Task, None] = {}  # in the order their waits began
@@ -55,7 +59,7 @@ def drive(tasks) -> list:
     def spawn(parent: _Task, gens: list) -> None:
         parent.results = [None] * len(gens)
         parent.pending = len(gens)
-        if not gens and parent is not root:
+        if not gens and parent.gen is not None:
             ready.append((parent, parent.results))
         for index, gen in enumerate(gens):
             task = _Task(gen, parent, index)
@@ -77,6 +81,7 @@ def drive(tasks) -> list:
         return now
 
     spawn(root, list(tasks))
+    spawn(_Task(None, None, 0), list(services))  # a root no one waits for
     with selectors.DefaultSelector() as selector:
         try:
             while True:
@@ -89,24 +94,24 @@ def drive(tasks) -> list:
                         parent = task.parent
                         parent.results[task.index] = stop.value
                         parent.pending -= 1
-                        if parent.pending == 0 and parent is not root:
+                        if parent.pending == 0 and parent.gen is not None:
                             ready.append((parent, parent.results))
                         continue
                     if isinstance(request, list):
                         spawn(task, request)
                         continue
                     task.sock, timeout_s = request
-                    task.deadline = time.monotonic() + timeout_s
+                    task.deadline = math.inf if timeout_s is None else time.monotonic() + timeout_s
                     selector.register(task.sock, selectors.EVENT_READ, task)
                     waiting[task] = None
                     if ready:
                         # the queued tasks may run for a while: stamp what
                         # has arrived before they do
                         poll(0)
-                if not waiting:
+                if root.pending == 0:
                     return root.results
-                earliest = min(task.deadline for task in waiting)
-                now = poll(max(0.0, earliest - time.monotonic()))
+                wait_s = min(task.deadline for task in waiting) - time.monotonic()
+                now = poll(max(0.0, wait_s) if wait_s < math.inf else None)
                 for task in [task for task in waiting if task.deadline <= now]:
                     resume(task, None)
         finally:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
 
+from ..conn import drive
 from ..protection import DEFAULT_PROVIDER_SEED
 from .faults import FAULT_BEHAVIOURS, FaultSpec
-from .server import ServerConfig, default_body, serve
+from .server import FaultServer, ServerConfig, default_body
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -42,10 +42,10 @@ def main(argv: list[str] | None = None) -> int:
         resources={"/index.html": default_body(max(args.body_size, 160))},
         fault=FaultSpec(name=args.fault),
     )
-    server = serve(config)
-    print(f"faultsrv listening on {server.host}:{server.port} fault={args.fault} seed={args.seed}")
+    server = FaultServer(config).start()
+    print(f"faultsrv listening on {config.host}:{server.port} fault={args.fault} seed={args.seed}")
     try:
-        threading.Event().wait()  # until Ctrl-C
+        drive([server.task()])  # on this thread, until Ctrl-C
     except KeyboardInterrupt:
         pass
     finally:

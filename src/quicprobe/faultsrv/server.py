@@ -14,7 +14,6 @@ Retry while it is busy, as servers under load do.
 from __future__ import annotations
 
 import hashlib
-import select
 import socket
 import threading
 import time
@@ -63,6 +62,7 @@ from ..wire.transport_params import (
     TP_MAX_IDLE_TIMEOUT,
 )
 from ..conn.agents import build_ack
+from ..conn.driver import drive
 from ..conn.streams import StreamRecv
 from .faults import BLOCKED_FRAME_COUNT, PRE_VALIDATION_BYTES, FaultSpec
 
@@ -424,8 +424,8 @@ class _ServerConn:
 
 
 class FaultServer:
-    """Runs the responder in a background thread that sleeps until a
-    datagram arrives or stop() wakes it."""
+    """The responder: ``start()`` binds its socket and ``task()`` serves
+    it as a task of ``conn.drive``, on whichever loop drives it."""
 
     def __init__(self, config: ServerConfig):
         self.config = config
@@ -445,20 +445,15 @@ class FaultServer:
         # takes the same SCID from the seed (RFC 9000 section 5.2 matching)
         self.conns: dict[tuple, _ServerConn] = {}
         self.sent_log: list[dict] = []
-        self.errors: list[str] = []  # handler exceptions and send errors, one repr each
+        self.errors: list[str] = []  # socket and handler errors, one repr each
+        # set by serve(): its thread, and the socket whose one byte ends it
         self._thread: threading.Thread | None = None
-        # (read end, write end): one byte written to it ends the read loop
-        self._wake: tuple[socket.socket, socket.socket] | None = None
-        self._lock = threading.Lock()
+        self._wake: socket.socket | None = None
 
     @property
     def port(self) -> int:
         assert self.sock is not None
         return self.sock.getsockname()[1]
-
-    @property
-    def host(self) -> str:
-        return self.config.host
 
     def start(self) -> "FaultServer":
         info = socket.getaddrinfo(
@@ -473,26 +468,17 @@ class FaultServer:
             self.sock = None
             raise
         self.sock.setblocking(False)
-        self._wake = socket.socketpair()
-        self._thread = threading.Thread(target=self._run, name="faultsrv", daemon=True)
-        self._thread.start()
         return self
 
     def stop(self) -> None:
-        if self._wake is None:
-            return
-        self._wake[1].send(b"\x00")
-        self._thread.join(timeout=2)
-        self._thread = None
-        for sock in (self.sock, *self._wake):
-            sock.close()
-        self.sock = self._wake = None
-
-    def __enter__(self) -> "FaultServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        if self._thread is not None:
+            self._wake.send(b"\x00")
+            self._thread.join(timeout=2)
+            self._wake.close()
+            self._thread = self._wake = None
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
 
     def sendto(self, datagram: bytes, addr) -> None:
         if self.sock is not None:
@@ -502,24 +488,24 @@ class FaultServer:
                 self.errors.append(repr(exc))
 
     def log_sent(self, level: EncryptionLevel, cleartext: bytes, corrupted: bool) -> None:
-        with self._lock:
-            self.sent_log.append(
-                {"level": level.label, "cleartext_hex": cleartext.hex(), "corrupted": corrupted}
-            )
+        self.sent_log.append(
+            {"level": level.label, "cleartext_hex": cleartext.hex(), "corrupted": corrupted}
+        )
 
-    def _run(self) -> None:
-        wake = self._wake[0]
+    def task(self):
+        """Serve until closed, as a task of ``conn.drive``: handle every
+        queued datagram whenever the socket is readable. A socket or handler
+        error goes to ``errors``, and the server goes on serving."""
         while True:
-            readable, _, _ = select.select([self.sock, wake], [], [])
-            if wake in readable:
-                return
+            yield self.sock, None
             while True:
                 try:
                     data, addr = self.sock.recvfrom(65535)
                 except (BlockingIOError, InterruptedError):
                     break
-                except OSError:
-                    return
+                except OSError as exc:
+                    self.errors.append(repr(exc))
+                    break
                 try:
                     self._handle_datagram(data, addr)
                 except Exception as exc:  # a handling bug must not kill the server
@@ -603,6 +589,19 @@ class FaultServer:
         self.sendto(datagram, addr)
 
 
+def _until_readable(sock: socket.socket):
+    with sock:
+        yield sock, None
+
+
 def serve(config: ServerConfig) -> FaultServer:
-    """Start a server; the handle's stop() interrupts its read loop."""
-    return FaultServer(config).start()
+    """Start a server on a thread of its own, named ``faultsrv``, for a
+    caller that runs a loop of its own: the thread drives the server's
+    task until the handle's stop() wakes it, and stop() then joins it."""
+    server = FaultServer(config).start()
+    woken, server._wake = socket.socketpair()
+    server._thread = threading.Thread(
+        target=drive, args=([_until_readable(woken)], [server.task()]), name="faultsrv", daemon=True
+    )
+    server._thread.start()
+    return server

@@ -92,8 +92,8 @@ class KeyMaterial:
     the same object to every caller of the same secret, so one
     ``KeyMaterial`` may serve several connections and the reference
     server at once, from any thread. The header-protection encryptor
-    keeps state between calls, so ``protect`` and ``unprotect`` use the
-    ciphers only while holding ``lock``.
+    keeps state between calls, so ``seal_packet`` and ``open_packet`` use
+    the ciphers only while holding ``lock``.
     """
 
     level: EncryptionLevel
@@ -201,17 +201,12 @@ def cleartext_packet_bytes(header: PacketHeader, plaintext: bytes) -> bytes:
     return join_header(split_header(header), header.pn_length + len(plaintext)) + plaintext
 
 
-def protect(header: PacketHeader, plaintext: bytes, keys: KeyMaterial) -> bytes:
-    """Seal and header-protect one packet into wire bytes."""
-    return seal_packet(header, plaintext, keys)[0]
-
-
 def seal_packet(
     header: PacketHeader, plaintext: bytes, keys: KeyMaterial
 ) -> tuple[bytes, bytes]:
-    """``protect`` and ``cleartext_packet_bytes`` of one packet at once,
-    its header serialized once: the packet's wire bytes and its cleartext
-    as logged in traces."""
+    """Seal and header-protect one packet, its header serialized once:
+    the packet's wire bytes, and its cleartext as logged in traces
+    (``cleartext_packet_bytes``)."""
     if header.packet_type not in LEVEL_FOR_PACKET_TYPE:
         raise ProtectionError(f"cannot protect a {header.packet_type.value} packet")
     if LEVEL_FOR_PACKET_TYPE[header.packet_type] is not keys.level:

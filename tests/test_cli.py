@@ -6,22 +6,24 @@ import json
 import os
 import re
 import tempfile
+import threading
 import time
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quicprobe.cli import main as quicprobe_main, parse_targets_file
-from quicprobe.conn import Connection
-from quicprobe.faultsrv import FaultSpec, ServerConfig, serve
+from quicprobe.conn import Connection, drive, perform_handshake
+from quicprobe.faultsrv import FaultServer, FaultSpec, ServerConfig, serve
 from quicprobe.faultsrv import cli as faultsrv_cli
 from quicprobe.faultsrv.cli import main as faultsrv_main
-from quicprobe.protection import NullHandshakeProvider
+from quicprobe.protection import DEFAULT_PROVIDER_SEED, NullHandshakeProvider
 from quicprobe.scenarios import codes
+from quicprobe.scenarios.base import default_client_tp
 from quicprobe.traces import INDEX_NAME, TraceBuilder, model, read_trace, write_trace
+from quicprobe.wire import encode_transport_parameters
 
 from .corpus_fixtures import build_synthetic_corpus, later_clock
 
@@ -191,7 +193,7 @@ def test_targets_file_rejects_out_of_range_ports(tmp_path, port):
 @pytest.mark.parametrize("listen", ["127.0.0.1:70000", "127.0.0.1:-1", "127.0.0.1:x"])
 def test_faultsrv_rejects_out_of_range_listen_port(capsys, monkeypatch, listen):
     # a server that started would serve until interrupted
-    monkeypatch.setattr(faultsrv_cli, "serve", lambda config: pytest.fail(f"served {config}"))
+    monkeypatch.setattr(faultsrv_cli, "FaultServer", lambda config: pytest.fail(f"served {config}"))
     with pytest.raises(SystemExit) as exc_info:
         faultsrv_main(["--listen", listen])
     assert exc_info.value.code == 2
@@ -201,34 +203,69 @@ def test_faultsrv_rejects_out_of_range_listen_port(capsys, monkeypatch, listen):
 def test_faultsrv_prints_the_servers_errors_and_fails(capsys, monkeypatch):
     served = []
 
-    def serve_on_any_port(config):
-        served.append(serve(config))
+    def recording_server(config):
+        served.append(FaultServer(config))
         return served[0]
 
-    class HelloOfAnotherSeed:
-        """Stands in for the wait until Ctrl-C: sends one client hello of
-        handshake seed 1, which the server's provider rejects, then
-        interrupts once the server has recorded the error."""
+    def hello_of_another_seed():
+        """Stands in for Ctrl-C: sends one client hello of handshake seed
+        1, which the server's provider rejects, then interrupts once the
+        server has recorded the error."""
+        server = served[0]
+        provider = NullHandshakeProvider(seed=1, is_client=True)
+        conn = Connection("127.0.0.1", server.port, provider, TraceBuilder("handshake", 1, {}))
+        conn.start()
+        deadline = time.monotonic() + 5
+        while not server.errors and time.monotonic() < deadline:
+            yield conn.sock, 0.01
+        conn.stop()
+        raise KeyboardInterrupt
 
-        def wait(self):
-            server = served[0]
-            provider = NullHandshakeProvider(seed=1, is_client=True)
-            conn = Connection("127.0.0.1", server.port, provider, TraceBuilder("handshake", 1, {}))
-            conn.start()
-            deadline = time.monotonic() + 5
-            while not server.errors and time.monotonic() < deadline:
-                time.sleep(0.01)
-            conn.stop()
-            raise KeyboardInterrupt
-
-    monkeypatch.setattr(faultsrv_cli, "serve", serve_on_any_port)
-    monkeypatch.setattr(faultsrv_cli, "threading", SimpleNamespace(Event=HelloOfAnotherSeed))
+    monkeypatch.setattr(faultsrv_cli, "FaultServer", recording_server)
+    # the server's task runs until the stand-in interrupts the loop
+    monkeypatch.setattr(
+        faultsrv_cli, "drive", lambda tasks: drive([hello_of_another_seed()], services=tasks)
+    )
     rc = faultsrv_main(["--listen", "127.0.0.1:0"])
     assert served[0].errors
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"faultsrv: {error}" for error in served[0].errors]
     assert "CH seed mismatch" in err[0]
+
+
+def test_faultsrv_serves_on_the_thread_that_runs_it(capsys, monkeypatch):
+    served = []
+
+    def recording_server(config):
+        served.append(FaultServer(config))
+        return served[0]
+
+    def handshake_then_interrupt():
+        """Stands in for Ctrl-C once one client completed its handshake."""
+        tp = encode_transport_parameters(default_client_tp())
+        provider = NullHandshakeProvider(seed=DEFAULT_PROVIDER_SEED, is_client=True, local_tp=tp)
+        trace = TraceBuilder("handshake", 1, {})
+        conn = Connection("127.0.0.1", served[0].port, provider, trace)
+        conn.start()
+        try:
+            stuck = yield from perform_handshake(conn, 5.0)
+        finally:
+            conn.stop()
+        assert stuck is None
+        raise KeyboardInterrupt
+
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(faultsrv_cli, "FaultServer", recording_server)
+    monkeypatch.setattr(
+        faultsrv_cli, "drive", lambda tasks: drive([handshake_then_interrupt()], services=tasks)
+    )
+    assert faultsrv_main(["--listen", "127.0.0.1:0"]) == 0
+    assert served[0].sent_log and served[0].errors == []
+    assert capsys.readouterr().err == ""
 
 
 def report_warnings(tmp_path, capsys, name: str, content: bytes) -> list[str]:

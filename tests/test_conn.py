@@ -22,8 +22,8 @@ from quicprobe.protection import (
     EncryptionLevel,
     NullHandshakeProvider,
     derive_initial_keys,
-    protect,
     retry_integrity_tag,
+    seal_packet,
     unprotect,
 )
 from quicprobe.scenarios.base import default_client_tp
@@ -86,7 +86,7 @@ def server_packet(conn, frames, pn=0):
 
     payload = serialize_frames(frames)
     payload += b"\x00" * max(0, 4 - header.pn_length - len(payload))
-    return protect(header, payload, server_keys)
+    return seal_packet(header, payload, server_keys)[0]
 
 
 def feed(conn, datagram):
@@ -427,6 +427,31 @@ def test_settle_sees_a_datagram_that_arrives_late():
         assert conn.bytes_received == 120
     finally:
         late.join()
+        conn.stop()
+        peer.close()
+
+
+def test_an_empty_datagram_is_noted_and_the_next_one_read():
+    peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    peer.bind(("127.0.0.1", 0))
+    conn = make_conn(peer.getsockname(), roster=frozenset())
+    client = conn.sock.getsockname()
+
+    def stamped(pump):
+        """Run ``pump`` and return what the driver resumed it with."""
+        arrived = yield next(pump)
+        with pytest.raises(StopIteration):
+            pump.send(arrived)
+        return arrived
+
+    try:
+        peer.sendto(b"", client)
+        peer.sendto(b"\x00" * 60, client)
+        (arrived,) = drive([stamped(conn.pump(1.0))])
+        assert arrived is not None
+        assert conn.bytes_received == 60 and conn.last_received_at == arrived
+        assert [note["kind"] for note in conn.trace.notes] == ["empty_datagram"]
+    finally:
         conn.stop()
         peer.close()
 

@@ -16,7 +16,7 @@ from quicprobe.protection import (
     LEVEL_FOR_PACKET_TYPE,
     cleartext_packet_bytes,
     key_material_from_secret,
-    protect,
+    seal_packet,
 )
 from quicprobe.wire import (
     QUIC_V1,
@@ -391,7 +391,10 @@ def test_read_header_agrees_with_the_dissector(header, padding):
         plaintext = bytes([0x01]) + bytes(padding)  # PING, then PADDING
         level = LEVEL_FOR_PACKET_TYPE[header.packet_type]
         keys = key_material_from_secret(bytes(32), level, "server")
-        forms = [cleartext_packet_bytes(header, plaintext), protect(header, plaintext, keys)]
+        forms = [
+            cleartext_packet_bytes(header, plaintext),
+            seal_packet(header, plaintext, keys)[0],
+        ]
     for data, tag in zip(forms, (0, AEAD_TAG_LEN)):
         fields, end = read_fields(data)
         assert fields == dissected_header(data)

@@ -7,7 +7,8 @@ import time
 import pytest
 
 from quicprobe.conn import Connection, drive
-from quicprobe.faultsrv import ServerConfig, serve
+import quicprobe.scenarios as scenarios_module
+from quicprobe.faultsrv import FAULT_EXPECTATIONS, FaultServer, FaultSpec, ServerConfig, serve
 from quicprobe.scenarios import ScenarioContext, SuitePlan, run_suite, scenario_order
 
 
@@ -167,6 +168,67 @@ def test_an_exception_closes_every_other_task(pairs):
         pytest.fail("the task's exception did not propagate")
 
 
+def test_a_service_is_closed_once_the_last_task_returns(pairs):
+    (a, _), (b, b_peer), _ = pairs
+    served, closed = [], []
+
+    def service():
+        try:
+            for _ in range(3):
+                served.append((yield a, 0.5))
+        finally:
+            closed.append(True)
+
+    b_peer.send(b"x")
+    log = []
+    assert drive([waiter("task", b, 1.0, log)], services=[service()]) == ["task"]
+    assert [name for name, _, _ in log] == ["task"]
+    assert served == [] and closed == [True]
+    assert drive([], services=[service()]) == [] and closed == [True, True]
+
+
+def test_an_exception_in_a_service_closes_the_tasks_and_propagates(pairs):
+    (a, _), (b, b_peer), _ = pairs
+    closed = []
+
+    def waits_long():
+        try:
+            yield a, 5.0
+        finally:
+            closed.append(True)
+
+    def failing_service():
+        yield b, None
+        raise RuntimeError("service bug")
+
+    b_peer.send(b"x")
+    t0 = time.monotonic()
+    try:
+        drive([waits_long()], services=[failing_service()])
+    except RuntimeError as exc:
+        assert str(exc) == "service bug"
+        assert closed == [True] and time.monotonic() - t0 < 1.0
+    else:
+        pytest.fail("the service's exception did not propagate")
+
+
+def test_a_wait_with_no_deadline_lasts_until_its_socket_is_readable(pairs):
+    (a, a_peer), (b, _), _ = pairs
+    log = []
+
+    def write_after_a_wait():
+        yield b, 0.1
+        a_peer.send(b"x")
+
+    t0 = time.monotonic()
+    assert drive([waiter("no deadline", a, None, log), write_after_a_wait()]) == [
+        "no deadline",
+        None,
+    ]
+    ((_, arrived, _),) = log
+    assert arrived is not None and arrived - t0 >= 0.1
+
+
 @pytest.fixture
 def compliant_server():
     server = serve(ServerConfig())
@@ -241,3 +303,31 @@ def test_a_suite_starts_no_thread(monkeypatch, compliant_server):
     )
     traces = run_suite(plan)
     assert [t.error_code for t in traces] == [0] * len(traces)
+
+
+# faults whose suite waits out its timeout for an answer that never comes
+TIMED_OUT_FAULTS = {"no_ticket", "reorder_livelock", "stall_after_sh", "vn_silent"}
+
+
+def test_the_reference_server_serves_suites_on_the_clients_loop(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    faults = sorted(set(FAULT_EXPECTATIONS) - TIMED_OUT_FAULTS)
+    assert len(faults) == 10  # the compliant server and 9 of the 13 faults
+    for fault in faults:
+        server = FaultServer(ServerConfig(fault=FaultSpec(name=fault))).start()
+        monkeypatch.setattr(
+            scenarios_module, "drive", lambda tasks: drive(tasks, services=[server.task()])
+        )
+        target = {"name": "loopback", "host": "127.0.0.1", "port": server.port}
+        plan = SuitePlan(targets=[target], seed=2, timeout_ms=2000)
+        try:
+            traces = run_suite(plan)
+        finally:
+            server.stop()
+        assert {t.scenario: t.error_code for t in traces} == {
+            name: FAULT_EXPECTATIONS[fault].get(name, 0) for name in plan.scenarios
+        }, fault
+        assert server.errors == [], fault

@@ -2,7 +2,7 @@
 
 import errno
 import os
-import select
+import selectors
 import sys
 import threading
 import time
@@ -11,6 +11,7 @@ import types
 import pytest
 
 from quicprobe.conn import Connection
+from quicprobe.conn import driver as driver_module
 from quicprobe.dissector import coverage_ok, dissect, quic_v1_description
 from quicprobe.faultsrv import FAULT_EXPECTATIONS, FaultSpec, ServerConfig, default_body, serve
 from quicprobe.faultsrv import server as server_module
@@ -147,11 +148,17 @@ def test_stop_interrupts_blocked_read():
 def test_idle_server_sleeps_until_stopped(monkeypatch):
     calls = []
 
-    def counting_select(*args):
-        calls.append(args)
-        return select.select(*args)
+    class CountingSelector(selectors.DefaultSelector):
+        def select(self, timeout=None):
+            if timeout != 0:  # a poll that does not wait is not a wait
+                calls.append(timeout)
+            return super().select(timeout)
 
-    monkeypatch.setattr(server_module, "select", types.SimpleNamespace(select=counting_select))
+    monkeypatch.setattr(
+        driver_module,
+        "selectors",
+        types.SimpleNamespace(DefaultSelector=CountingSelector, EVENT_READ=selectors.EVENT_READ),
+    )
     before = set(threading.enumerate())
     server = serve(ServerConfig())
     (thread,) = set(threading.enumerate()) - before

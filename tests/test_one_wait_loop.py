@@ -1,0 +1,53 @@
+"""The program waits in one place, ``conn.drive``: a second wait loop, a
+sleep or another thread added anywhere in ``quicprobe`` fails here."""
+
+import ast
+from pathlib import Path
+
+import quicprobe
+
+PACKAGE = Path(quicprobe.__file__).parent
+MODULES = {
+    path.relative_to(PACKAGE).as_posix(): ast.parse(path.read_text(), str(path))
+    for path in sorted(PACKAGE.rglob("*.py"))
+}
+
+
+def imported(tree) -> set[str]:
+    """The absolute modules ``tree`` imports, and each name it imports
+    from one as ``module.name``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def importers(*modules: str) -> list[str]:
+    return [path for path, tree in MODULES.items() if imported(tree) & set(modules)]
+
+
+def test_only_the_driver_imports_a_selector():
+    assert importers("select", "selectors") == ["conn/driver.py"]
+
+
+def test_no_module_sleeps():
+    calls = [
+        path
+        for path, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "sleep"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "time"
+    ]
+    assert calls + importers("time.sleep") == []
+
+
+def test_only_serve_and_the_key_lock_use_threading():
+    # serve() runs a server on a thread for embedding; KeyMaterial.lock
+    # guards ciphers that serve()'s thread shares with the client
+    assert importers("threading") == ["faultsrv/server.py", "protection/packet.py"]

@@ -21,7 +21,6 @@ from quicprobe.protection import (
     derive_initial_keys,
     key_material_from_secret,
     packet_number_length,
-    protect,
     retry_integrity_tag,
     seal_packet,
     unprotect,
@@ -101,7 +100,7 @@ def _initial_header(pn, pn_length, dcid=DCID):
 def test_protect_unprotect_round_trip():
     client, _ = derive_initial_keys(DCID)
     plaintext = b"\x01" + b"\x00" * 199
-    packet = protect(_initial_header(7, 2), plaintext, client)
+    packet = seal_packet(_initial_header(7, 2), plaintext, client)[0]
     header, recovered = unprotect(packet, client, largest_pn=6)
     assert recovered == plaintext
     assert header.packet_number == 7
@@ -110,7 +109,7 @@ def test_protect_unprotect_round_trip():
 
 def test_flipped_byte_fails_authentication():
     client, _ = derive_initial_keys(DCID)
-    packet = bytearray(protect(_initial_header(0, 1), b"\x01" * 50, client))
+    packet = bytearray(seal_packet(_initial_header(0, 1), b"\x01" * 50, client)[0])
     packet[-1] ^= 0xFF
     with pytest.raises(DecryptError):
         unprotect(bytes(packet), client, largest_pn=-1)
@@ -130,7 +129,7 @@ def test_header_protection_touches_only_pn_and_low_bits():
     client, _ = derive_initial_keys(DCID)
     header = _initial_header(3, 2)
     plaintext = b"\x02" * 64
-    protected = protect(header, plaintext, client)
+    protected = seal_packet(header, plaintext, client)[0]
     clear = cleartext_packet_bytes(header, plaintext)
     # all header bytes before the pn field match the cleartext serialization
     # except the masked low bits of the first byte and the length field
@@ -167,7 +166,7 @@ def test_round_trip_property(pn_length, pn, payload, packet_type):
         packet_number=pn % (1 << (8 * pn_length)),
         pn_length=pn_length,
     )
-    packet = protect(header, payload, keys)
+    packet = seal_packet(header, payload, keys)[0]
     parsed, recovered = unprotect(
         packet, keys, largest_pn=header.packet_number - 1, short_dcid_len=len(DCID)
     )
@@ -191,7 +190,7 @@ def test_cleartext_packet_bytes_reparse():
 
 
 def fresh_cipher_protect(header, plaintext, keys):
-    """Reference for ``protect``: a new AESGCM and a new ECB cipher for
+    """Reference for ``seal_packet``'s wire bytes: a new AESGCM and a new ECB cipher for
     every packet, and the nonce XORed byte by byte."""
     aad = serialize_header(replace(header, length=header.pn_length + len(plaintext) + AEAD_TAG_LEN))
     pn_bytes = header.packet_number.to_bytes(len(keys.iv), "big")
@@ -232,7 +231,7 @@ def test_reused_ciphers_match_fresh_ones_over_a_thousand_packets():
             pn_length=pn_length,
         )
         payload = rng.randbytes(rng.randint(4, 1400))
-        packet = protect(header, payload, keys[level])
+        packet = seal_packet(header, payload, keys[level])[0]
         assert packet == fresh_cipher_protect(header, payload, keys[level])
         parsed, recovered = unprotect(
             packet, keys[level], largest_pn=header.packet_number - 1, short_dcid_len=len(DCID)
@@ -277,7 +276,6 @@ def test_the_send_path_matches_a_header_serialized_for_each_length(
             seal_packet(header, plaintext, SEND_KEYS[EncryptionLevel.INITIAL])
         return
     packet = fresh_cipher_protect(header, plaintext, SEND_KEYS[level])
-    assert protect(header, plaintext, SEND_KEYS[level]) == packet
     assert seal_packet(header, plaintext, SEND_KEYS[level]) == (packet, cleartext)
 
 
@@ -317,7 +315,7 @@ def test_one_key_material_serves_eight_threads_at_once():
                 pn_length=pn_length,
             )
             payload = rng.randbytes(rng.randint(4, 1400))
-            packet = protect(header, payload, keys)
+            packet = seal_packet(header, payload, keys)[0]
             parsed, recovered = unprotect(
                 packet, keys, largest_pn=header.packet_number - 1, short_dcid_len=len(DCID)
             )
@@ -353,10 +351,10 @@ def test_the_server_opens_a_connection_with_the_clients_initial_keys():
 
 def test_reused_keys_open_a_good_packet_after_a_flipped_tag():
     client, _ = derive_initial_keys(DCID)
-    bad = bytearray(protect(_initial_header(0, 2), b"\x01" * 50, client))
+    bad = bytearray(seal_packet(_initial_header(0, 2), b"\x01" * 50, client)[0])
     bad[-1] ^= 0xFF
     with pytest.raises(DecryptError):
         unprotect(bytes(bad), client, largest_pn=-1)
-    good = protect(_initial_header(1, 2), b"\x02" * 50, client)
+    good = seal_packet(_initial_header(1, 2), b"\x02" * 50, client)[0]
     header, recovered = unprotect(good, client, largest_pn=0)
     assert (header.packet_number, recovered) == (1, b"\x02" * 50)

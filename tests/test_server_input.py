@@ -1,12 +1,18 @@
-"""How the reference server reads long headers with long connection ids
-(RFC 9000 section 17.2, RFC 8999 sections 5.1 and 6)."""
+"""How the reference server reads its input: long headers with long
+connection ids (RFC 9000 section 17.2, RFC 8999 sections 5.1 and 6), and
+the errors of its socket."""
+
+import errno
+import socket
 
 import pytest
 
+from quicprobe.conn import drive
+from quicprobe.faultsrv import FaultServer, ServerConfig
 from quicprobe.scenarios.core import RESERVED_VERSION
 from quicprobe.wire import PacketType, parse_header
 
-from .exchange import CLIENT_ADDR, Exchange, resize_cid
+from .exchange import CLIENT_ADDR, SEED, Exchange, resize_cid
 
 
 @pytest.mark.parametrize("field", ["dcid", "scid"])
@@ -58,3 +64,58 @@ def test_server_never_answers_version_negotiation():
     exchange.server._handle_datagram(negotiation, CLIENT_ADDR)
     assert exchange.to_client == [negotiation]
     assert exchange.server.errors == []
+
+
+class ScriptedSocket:
+    """A server socket that is always readable and whose ``recvfrom``
+    answers from ``script``: an exception to raise or a datagram and its
+    sender, then BlockingIOError once the script is done. Each datagram
+    sent makes ``answered`` readable."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.sent = []
+        self._readable, peer = socket.socketpair()
+        peer.send(b"x")  # never read: keeps the socket readable
+        self.answered, self._notify = socket.socketpair()
+        self._sockets = (self._readable, peer, self.answered, self._notify)
+
+    def fileno(self) -> int:
+        return self._readable.fileno()
+
+    def recvfrom(self, size):
+        if not self.script:
+            raise BlockingIOError
+        step = self.script.pop(0)
+        if isinstance(step, Exception):
+            raise step
+        return step
+
+    def sendto(self, datagram, addr):
+        self.sent.append((datagram, addr))
+        self._notify.send(b"x")
+
+    def close(self):
+        for sock in self._sockets:
+            sock.close()
+
+
+def test_a_socket_error_is_recorded_and_the_server_keeps_serving():
+    exchange = Exchange()
+    hello = exchange.to_server.pop(0)
+    exchange.stop()
+    refused = ConnectionRefusedError(errno.ECONNREFUSED, "Connection refused")
+    sock = ScriptedSocket([refused, (hello, CLIENT_ADDR)])
+    server = FaultServer(ServerConfig(seed=SEED))
+    server.sock = sock
+
+    def until_answered():
+        yield sock.answered, 5.0  # a server that stopped serving fails below
+
+    try:
+        drive([until_answered()], services=[server.task()])
+    finally:
+        sock.close()
+    assert server.errors == [repr(refused)]
+    assert sock.sent and {addr for _, addr in sock.sent} == {CLIENT_ADDR}
+    assert list(server.conns) == [CLIENT_ADDR]
