@@ -200,13 +200,20 @@ def test_faultsrv_rejects_out_of_range_listen_port(capsys, monkeypatch, listen):
     assert "0-65535" in capsys.readouterr().err
 
 
-def test_faultsrv_prints_the_servers_errors_and_fails(capsys, monkeypatch):
-    served = []
+@pytest.fixture
+def served(monkeypatch):
+    """The servers the faultsrv CLI builds, in the order it builds them."""
+    servers = []
 
     def recording_server(config):
-        served.append(FaultServer(config))
-        return served[0]
+        servers.append(FaultServer(config))
+        return servers[-1]
 
+    monkeypatch.setattr(faultsrv_cli, "FaultServer", recording_server)
+    return servers
+
+
+def test_faultsrv_prints_the_servers_errors_and_fails(capsys, monkeypatch, served):
     def hello_of_another_seed():
         """Stands in for Ctrl-C: sends one client hello of handshake seed
         1, which the server's provider rejects, then interrupts once the
@@ -221,7 +228,6 @@ def test_faultsrv_prints_the_servers_errors_and_fails(capsys, monkeypatch):
         conn.stop()
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(faultsrv_cli, "FaultServer", recording_server)
     # the server's task runs until the stand-in interrupts the loop
     monkeypatch.setattr(
         faultsrv_cli, "drive", lambda tasks: drive([hello_of_another_seed()], services=tasks)
@@ -234,13 +240,7 @@ def test_faultsrv_prints_the_servers_errors_and_fails(capsys, monkeypatch):
     assert "CH seed mismatch" in err[0]
 
 
-def test_faultsrv_serves_on_the_thread_that_runs_it(capsys, monkeypatch):
-    served = []
-
-    def recording_server(config):
-        served.append(FaultServer(config))
-        return served[0]
-
+def test_faultsrv_serves_on_the_thread_that_runs_it(capsys, monkeypatch, served):
     def handshake_then_interrupt():
         """Stands in for Ctrl-C once one client completed its handshake."""
         tp = encode_transport_parameters(default_client_tp())
@@ -259,7 +259,6 @@ def test_faultsrv_serves_on_the_thread_that_runs_it(capsys, monkeypatch):
         raise AssertionError(f"thread {thread.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    monkeypatch.setattr(faultsrv_cli, "FaultServer", recording_server)
     monkeypatch.setattr(
         faultsrv_cli, "drive", lambda tasks: drive([handshake_then_interrupt()], services=tasks)
     )

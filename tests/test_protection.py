@@ -190,8 +190,8 @@ def test_cleartext_packet_bytes_reparse():
 
 
 def fresh_cipher_protect(header, plaintext, keys):
-    """Reference for ``seal_packet``'s wire bytes: a new AESGCM and a new ECB cipher for
-    every packet, and the nonce XORed byte by byte."""
+    """Reference for the wire bytes of ``seal_packet``: a new AESGCM and a
+    new ECB cipher for every packet, and the nonce XORed byte by byte."""
     aad = serialize_header(replace(header, length=header.pn_length + len(plaintext) + AEAD_TAG_LEN))
     pn_bytes = header.packet_number.to_bytes(len(keys.iv), "big")
     nonce = bytes(a ^ b for a, b in zip(keys.iv, pn_bytes))
