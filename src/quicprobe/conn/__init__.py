@@ -1,14 +1,16 @@
 """Client connection engine and the composable client agents."""
 
-from .agents import build_ack
-from .connection import (
+from .agents import (
     AGENT_ORDER,
-    Connection,
     FULL_ROSTER,
-    HandshakeStage,
     INITIAL_DATAGRAM_MIN,
     MAX_DATAGRAM_SIZE,
     Packet,
+    build_ack,
+)
+from .connection import (
+    Connection,
+    HandshakeStage,
     PrerequisiteError,
     perform_handshake,
     resolve,

@@ -5,13 +5,15 @@ exactly the subset they need. Agents are confined to one connection and
 share only the connection's state. The connection calls each hook an
 agent's class overrides (``start``, ``received``, ``sent``,
 ``timeout``) on the roster's agents in a fixed order. The parser is fed
-datagrams by ``Connection.pump`` and calls ``received`` for each packet
-it opens; the bundler is flushed by the connection.
+datagrams by ``Connection.receive`` and calls ``received`` for each
+packet it opens; the bundler is flushed by the connection. This module
+owns the agents' fixed order and the send policy they apply.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 from ..protection import (
     AEAD_TAG_LEN,
@@ -27,8 +29,10 @@ from ..wire import (
     AckFrame,
     ConnectionCloseFrame,
     CryptoFrame,
+    Frame,
     MaxDataFrame,
     MaxStreamDataFrame,
+    PacketHeader,
     PacketType,
     PaddingFrame,
     ParseError,
@@ -41,8 +45,21 @@ from ..wire import (
     parse_header,
     serialize_frame,
 )
-from .connection import MAX_DATAGRAM_SIZE, INITIAL_DATAGRAM_MIN, RETRANSMISSION_TIMER_MS, Packet
 from .streams import StreamRecv
+
+MAX_DATAGRAM_SIZE = 1252
+INITIAL_DATAGRAM_MIN = 1200
+RETRANSMISSION_TIMER_MS = 500
+
+
+@dataclass
+class Packet:
+    """One packet as the agents' hooks see it, received or sent."""
+
+    header: PacketHeader
+    frames: list[Frame]
+    level: EncryptionLevel
+
 
 class Agent:
     """The hooks a connection calls; each is a no-op until overridden."""
@@ -162,7 +179,6 @@ class TlsAgent(Agent):
 
     def __init__(self):
         self._reassembly: dict[EncryptionLevel, StreamRecv] = {}
-        self._consumed: dict[EncryptionLevel, int] = {}
         self._tp_applied = False
 
     def received(self, conn, packet: Packet) -> None:
@@ -172,11 +188,9 @@ class TlsAgent(Agent):
         recv = self._reassembly.setdefault(packet.level, StreamRecv())
         for frame in crypto:
             recv.add(frame.offset, frame.data, fin=False)
-        done = self._consumed.get(packet.level, 0)
-        fresh = recv.delivered[done:]
+        fresh = recv.read()
         if not fresh:
             return
-        self._consumed[packet.level] = len(recv.delivered)
 
         outputs = conn.provider.consume(packet.level, fresh)
         for level, data in outputs:
@@ -341,13 +355,7 @@ class BundlerAgent(Agent):
     def flush(self, conn) -> None:
         if conn.sock is None:
             return
-        for level in (
-            EncryptionLevel.INITIAL,
-            EncryptionLevel.ZERO_RTT,
-            EncryptionLevel.HANDSHAKE,
-            EncryptionLevel.ONE_RTT,
-        ):
-            queue = conn.queues[level]
+        for level, queue in conn.queues.items():  # in EncryptionLevel order
             if not queue:
                 continue
             if conn.send_keys(level) is None:
@@ -438,3 +446,6 @@ AGENT_TYPES: dict[str, type[Agent]] = {
         ClosingAgent,
     )
 }
+# fixed hook order, so packet handling is reproducible
+AGENT_ORDER = tuple(AGENT_TYPES)
+FULL_ROSTER = frozenset(AGENT_TYPES)

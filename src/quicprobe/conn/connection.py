@@ -41,26 +41,11 @@ from ..wire import (
     serialize_frames,
 )
 from ..wire.transport_params import TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE, TP_MAX_ACK_DELAY
+from .agents import AGENT_ORDER, AGENT_TYPES, FULL_ROSTER, HOOKS, Agent, Packet
 from .streams import FlowControlAssertion, StreamState
 
-MAX_DATAGRAM_SIZE = 1252
-INITIAL_DATAGRAM_MIN = 1200
-RETRANSMISSION_TIMER_MS = 500
 # RFC 9000 section 18.2: max_ack_delay when the peer announced none
 DEFAULT_MAX_ACK_DELAY_MS = 25
-
-# fixed hook order, so packet handling is reproducible
-AGENT_ORDER = (
-    "parser",
-    "tls",
-    "ack",
-    "flow_control",
-    "handshake",
-    "retransmission",
-    "bundler",
-    "closing",
-)
-FULL_ROSTER = frozenset(AGENT_ORDER)
 
 
 class PrerequisiteError(Exception):
@@ -81,15 +66,6 @@ class HandshakeStage(Enum):
     NO_RESPONSE = "no_response"
     VERSION_MISMATCH = "version_mismatch"
     INCOMPLETE = "handshake_incomplete"
-
-
-@dataclass
-class Packet:
-    """One packet as the agents' hooks see it, received or sent."""
-
-    header: PacketHeader
-    frames: list[Frame]
-    level: EncryptionLevel
 
 
 @dataclass
@@ -188,8 +164,6 @@ class Connection:
     def start(self) -> None:
         """Build the roster's agents, bind the socket and let the agents
         take their first actions."""
-        from .agents import AGENT_TYPES, HOOKS, Agent
-
         unknown = self.roster - FULL_ROSTER
         if unknown:
             raise ValueError(f"unknown agents: {sorted(unknown)}")
@@ -246,7 +220,7 @@ class Connection:
     def pump(self, wait: float):
         """Send what is queued, wait up to ``wait`` seconds for datagrams,
         or less if the retransmission deadline falls sooner, then hand each
-        datagram to the parser, check the deadline and send what that
+        datagram to ``receive``, check the deadline and send what that
         queued. A generator: it yields its wait to ``drive``, which resumes
         it with the time of the first select that saw the socket readable,
         the arrival time of every datagram read then, or with None once the
@@ -272,18 +246,24 @@ class Connection:
                         self.port_refused = True
                     self.trace.note("socket_error", {"errno": exc.errno, "error": exc.strerror})
                     break
-                if not datagram:  # holds no QUIC packet: noted, not parsed or counted
-                    self.trace.note("empty_datagram", "zero-length datagram skipped")
-                    continue
-                self.last_received_at = arrived
-                if self.rtt is None and self.first_sent_at is not None:
-                    self.rtt = arrived - self.first_sent_at
-                self.bytes_received += len(datagram)
-                parser = self._agents.get("parser")
-                if parser is not None:
-                    self._run_handler("parser", parser.datagram, self, datagram)
+                self.receive(datagram, arrived)
         self._check_deadline()
         self._flush()
+
+    def receive(self, datagram: bytes, arrived: float) -> None:
+        """Take one datagram that arrived at monotonic time ``arrived``:
+        stamp it, count it and hand it to the parser. An empty datagram
+        holds no QUIC packet; it is noted, not parsed or counted."""
+        if not datagram:
+            self.trace.note("empty_datagram", "zero-length datagram skipped")
+            return
+        self.last_received_at = arrived
+        if self.rtt is None and self.first_sent_at is not None:
+            self.rtt = arrived - self.first_sent_at
+        self.bytes_received += len(datagram)
+        parser = self._agents.get("parser")
+        if parser is not None:
+            self._run_handler("parser", parser.datagram, self, datagram)
 
     def run_until(self, predicate, timeout: float):
         """Pump until ``predicate()`` holds or ``timeout`` seconds pass;
@@ -393,11 +373,10 @@ class Connection:
     def queue_frame(self, level: EncryptionLevel, frame: Frame) -> None:
         self.queues[level].append(frame)
 
-    def queue_crypto(self, level: EncryptionLevel, data: bytes, offset: int | None = None) -> None:
-        start = offset if offset is not None else self._crypto_offsets.setdefault(level, 0)
+    def queue_crypto(self, level: EncryptionLevel, data: bytes) -> None:
+        start = self._crypto_offsets.get(level, 0)
         self.queues[level].append(CryptoFrame(offset=start, data=data))
-        if offset is None:
-            self._crypto_offsets[level] = start + len(data)
+        self._crypto_offsets[level] = start + len(data)
 
     def send_stream(
         self,

@@ -17,6 +17,7 @@ class StreamRecv:
     segments: dict[int, bytes] = field(default_factory=dict)
     fin_offset: int | None = None
     highest_offset: int = 0  # largest offset+len seen, for flow accounting
+    read_offset: int = 0  # how much of ``delivered`` ``read`` has returned
 
     def add(self, offset: int, data: bytes, fin: bool) -> bool:
         """Returns True when new contiguous bytes became readable."""
@@ -55,6 +56,12 @@ class StreamRecv:
                 seg = self.segments.pop(overlapping)[len(self.delivered) - overlapping :]
             self.delivered += seg
             progressed = True
+
+    def read(self) -> bytes:
+        """The bytes delivered since the last read."""
+        fresh = self.delivered[self.read_offset :]
+        self.read_offset = len(self.delivered)
+        return fresh
 
     @property
     def finished(self) -> bool:

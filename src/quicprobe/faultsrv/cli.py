@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import sys
 
 from ..conn import drive
@@ -43,6 +44,7 @@ def main(argv: list[str] | None = None) -> int:
         fault=FaultSpec(name=args.fault),
     )
     server = FaultServer(config).start()
+    server.sent_log = collections.deque(maxlen=0)  # nothing here reads it: keep none
     print(f"faultsrv listening on {config.host}:{server.port} fault={args.fault} seed={args.seed}")
     try:
         drive([server.task()])  # on this thread, until Ctrl-C

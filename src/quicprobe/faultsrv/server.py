@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from ..protection import (
     LEVEL_FOR_PACKET_TYPE,
+    PACKET_TYPE_FOR_LEVEL,
     SPACE_FOR_LEVEL,
     DecryptError,
     EncryptionLevel,
@@ -162,7 +163,6 @@ class _ServerConn:
         )
         self.spaces = {"initial": _Space(), "handshake": _Space(), "application": _Space()}
         self.crypto: dict[EncryptionLevel, StreamRecv] = {}
-        self.crypto_consumed: dict[EncryptionLevel, int] = {}
         self.streams: dict[int, _ServerStream] = {}
         self.peer_tp: TransportParameters | None = None
 
@@ -250,11 +250,9 @@ class _ServerConn:
     def _handle_crypto(self, level: EncryptionLevel, frame: CryptoFrame) -> None:
         recv = self.crypto.setdefault(level, StreamRecv())
         recv.add(frame.offset, frame.data, fin=False)
-        done = self.crypto_consumed.get(level, 0)
-        fresh = recv.delivered[done:]
+        fresh = recv.read()
         if not fresh:
             return
-        self.crypto_consumed[level] = len(recv.delivered)
         had_ch = self.provider.peer_tp_raw is not None
         outputs = self.provider.consume(level, fresh)
         for km in self.provider.exported_secrets():
@@ -373,26 +371,14 @@ class _ServerConn:
             payload = raw + (serialize_frames(frames) if frames else b"")
             if len(payload) < 4 - SERVER_PN_LENGTH:
                 payload += b"\x00" * (4 - SERVER_PN_LENGTH - len(payload))
-            if level is EncryptionLevel.ONE_RTT:
-                header = PacketHeader(
-                    packet_type=PacketType.ONE_RTT,
-                    dcid=self.client_scid,
-                    packet_number=pn,
-                    pn_length=SERVER_PN_LENGTH,
-                )
-            else:
-                header = PacketHeader(
-                    packet_type=(
-                        PacketType.INITIAL
-                        if level is EncryptionLevel.INITIAL
-                        else PacketType.HANDSHAKE
-                    ),
-                    version=QUIC_V1,
-                    dcid=self.client_scid,
-                    scid=self.scid,
-                    packet_number=pn,
-                    pn_length=SERVER_PN_LENGTH,
-                )
+            header = PacketHeader(
+                packet_type=PACKET_TYPE_FOR_LEVEL[level],
+                version=QUIC_V1,
+                dcid=self.client_scid,
+                scid=self.scid,
+                packet_number=pn,
+                pn_length=SERVER_PN_LENGTH,
+            )
             sealed, cleartext = seal_packet(header, payload, keys)
             packet = bytearray(sealed)
             corrupted = False

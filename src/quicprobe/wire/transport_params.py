@@ -14,13 +14,10 @@ from .varint import decode_varint, encode_varint
 
 TP_ORIGINAL_DCID = 0x00
 TP_MAX_IDLE_TIMEOUT = 0x01
-TP_MAX_UDP_PAYLOAD_SIZE = 0x03
 TP_INITIAL_MAX_DATA = 0x04
 TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL = 0x05
 TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE = 0x06
-TP_INITIAL_MAX_STREAM_DATA_UNI = 0x07
 TP_INITIAL_MAX_STREAMS_BIDI = 0x08
-TP_INITIAL_MAX_STREAMS_UNI = 0x09
 TP_MAX_ACK_DELAY = 0x0B
 TP_INITIAL_SCID = 0x0F
 
@@ -115,13 +112,10 @@ __all__ = [
     "lenient_decode_tp",
     "TP_ORIGINAL_DCID",
     "TP_MAX_IDLE_TIMEOUT",
-    "TP_MAX_UDP_PAYLOAD_SIZE",
     "TP_INITIAL_MAX_DATA",
     "TP_INITIAL_MAX_STREAM_DATA_BIDI_LOCAL",
     "TP_INITIAL_MAX_STREAM_DATA_BIDI_REMOTE",
-    "TP_INITIAL_MAX_STREAM_DATA_UNI",
     "TP_INITIAL_MAX_STREAMS_BIDI",
-    "TP_INITIAL_MAX_STREAMS_UNI",
     "TP_MAX_ACK_DELAY",
     "TP_INITIAL_SCID",
 ]

@@ -3,13 +3,15 @@
 Neither side touches the network: the client's datagrams are captured
 where its bundler sends them and handed to ``FaultServer._handle_datagram``,
 and the server's datagrams are captured where it sends them and handed to
-the client's parser, as ``Connection.pump`` does. Connection ids and the
-handshake seed are fixed, so every run sends the same bytes.
+``Connection.receive``, the receive path ``Connection.pump`` uses.
+Connection ids and the handshake seed are fixed, so every run sends the
+same bytes.
 """
 
 from __future__ import annotations
 
 import socket
+import time
 
 from quicprobe.conn import FULL_ROSTER, Connection
 from quicprobe.faultsrv import FaultServer, ServerConfig
@@ -55,8 +57,7 @@ class Exchange:
 
     def receive(self, datagram: bytes) -> None:
         """Hand one datagram to the client's receive path."""
-        self.conn.bytes_received += len(datagram)
-        self.conn._run_handler("parser", self.conn._agents["parser"].datagram, self.conn, datagram)
+        self.conn.receive(datagram, time.monotonic())
 
     def deliver_to_server(self) -> None:
         pending, self.to_server = self.to_server, []

@@ -90,7 +90,7 @@ def server_packet(conn, frames, pn=0):
 
 
 def feed(conn, datagram):
-    conn._agents["parser"].datagram(conn, datagram)
+    conn.receive(datagram, time.monotonic())
     conn._flush()
 
 
@@ -316,15 +316,15 @@ class TestFlowLedger:
 
 
 def test_parser_survives_garbage_datagrams():
-    """Random datagrams reach the client's parser and the reference
-    server, and one-byte changes of a real client hello reach the server:
-    neither raises, and the client still speaks afterwards. Each header
-    byte takes every other value; each later byte, which only the AEAD
-    open reads, is flipped once."""
+    """Random datagrams, one of them empty, reach the client's receive
+    path and the reference server, and one-byte changes of a real client
+    hello reach the server: neither raises, and the client still speaks
+    afterwards. Each header byte takes every other value; each later
+    byte, which only the AEAD open reads, is flipped once."""
     import random
 
     rng = random.Random(5)
-    blobs = [rng.randbytes(rng.randint(1, 120)) for _ in range(300)]
+    blobs = [rng.randbytes(rng.randint(1, 120)) for _ in range(300)] + [b""]
     exchange = Exchange()
     conn = exchange.conn
     for blob in blobs:
@@ -680,8 +680,11 @@ class TestStreamRecv:
         if rng.random() < 0.5:  # duplicate a random segment
             segments.append(rng.choice(segments))
         recv = StreamRecv()
+        reads = []
         for offset, data in segments:
             recv.add(offset, data, fin=False)
+            reads.append(recv.read())
         recv.add(len(payload), b"", fin=True)
         assert recv.finished
         assert recv.delivered == payload
+        assert b"".join(reads) == payload and recv.read() == b""

@@ -1,5 +1,6 @@
 """The program waits in one place, ``conn.drive``: a second wait loop, a
-sleep or another thread added anywhere in ``quicprobe`` fails here."""
+sleep or another thread added anywhere in ``quicprobe`` fails here. So
+does an import inside a function, but for one documented late import."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,16 @@ def test_only_serve_and_the_key_lock_use_threading():
     # serve() runs a server on a thread for embedding; KeyMaterial.lock
     # guards ciphers that serve()'s thread shares with the client
     assert importers("threading") == ["faultsrv/server.py", "protection/packet.py"]
+
+
+def test_no_module_imports_inside_a_function():
+    # metrics reads the scenario table late, because scenarios import traces
+    late = [
+        f"{path} {function.name}"
+        for path, tree in MODULES.items()
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert late == ["traces/metrics.py _requires_handshake_scenarios"]
