@@ -13,7 +13,6 @@ Retry while it is busy, as servers under load do.
 
 from __future__ import annotations
 
-import hashlib
 import socket
 import threading
 import time
@@ -29,6 +28,7 @@ from ..protection import (
     open_packet,
     retry_integrity_tag,
     seal_packet,
+    sha256,
 )
 from ..protection.provider import DEFAULT_PROVIDER_SEED, NullHandshakeProvider
 from ..wire import (
@@ -76,7 +76,7 @@ MIN_INITIAL_DCID_LEN = 8
 
 def server_scid(seed: int) -> bytes:
     """The connection id every connection of a server with ``seed`` uses."""
-    return hashlib.sha256(b"faultsrv-scid:%d" % seed).digest()[:8]
+    return sha256(b"faultsrv-scid:%d" % seed)[:8]
 
 
 def default_body(size: int = 160) -> bytes:

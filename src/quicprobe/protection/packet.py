@@ -4,7 +4,9 @@ The key schedule follows the QUIC version 1 construction: HKDF-extract
 over the destination connection id with the version 1 salt, then
 labelled expansions into per-direction secrets and AES-128-GCM key, iv
 and header-protection key. Cryptographic primitives come from the
-``cryptography`` package behind this module's narrow surface.
+``cryptography`` package behind this module's narrow surface; the rest
+of quicprobe takes its SHA-256 from ``sha256`` here, so no process loads
+the standard library's OpenSSL binding as a second copy.
 """
 
 from __future__ import annotations
@@ -113,6 +115,12 @@ class KeyMaterial:
         hp = Cipher(algorithms.AES(self.header_protection_key), modes.ECB())
         object.__setattr__(self, "hp_encryptor", hp.encryptor())
         object.__setattr__(self, "lock", threading.Lock())
+
+
+def sha256(data: bytes) -> bytes:
+    digest = hashes.Hash(hashes.SHA256())
+    digest.update(data)
+    return digest.finalize()
 
 
 def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:

@@ -9,12 +9,11 @@ material per level and direction, enabling loopback runs without TLS.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from abc import ABC, abstractmethod
 
 from ..wire import ParseError, TransportParameters, decode_transport_parameters
-from .packet import EncryptionLevel, KeyMaterial, key_material_from_secret
+from .packet import EncryptionLevel, KeyMaterial, key_material_from_secret, sha256
 
 MSG_CLIENT_HELLO = 1
 MSG_SERVER_HELLO = 2
@@ -65,7 +64,7 @@ def _frame_message(msg_type: int, body: bytes) -> bytes:
 
 
 def _derive(seed: bytes, tag: str, length: int = 32) -> bytes:
-    return hashlib.sha256(b"nullhs:" + tag.encode() + b":" + seed).digest()[:length]
+    return sha256(b"nullhs:" + tag.encode() + b":" + seed)[:length]
 
 
 class NullHandshakeProvider(HandshakeProvider):

@@ -9,7 +9,6 @@ changed since the last one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -18,6 +17,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+
+from ..protection import sha256
 
 TRACE_FORMAT = 1
 INDEX_NAME = ".quicprobe-index"  # in the corpus root; not ``*.json``, so no walk takes it for a trace
@@ -203,7 +204,7 @@ def trace_filename(trace: Trace) -> str:
     name = trace.target_name
     safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
     if safe != name:
-        safe += "-" + hashlib.sha256(name.encode()).hexdigest()[:8]
+        safe += "-" + sha256(name.encode()).hex()[:8]
     return f"{safe}_{trace.scenario}.json"
 
 

@@ -27,7 +27,9 @@ from quicprobe.scenarios.core import REORDER_SETTLE_S
 from quicprobe.traces import read_corpus, read_trace, write_trace
 from quicprobe.wire import (
     AckFrame,
+    PacketType,
     StreamFrame,
+    packet_type_of,
     parse_frames,
     parse_header,
 )
@@ -135,6 +137,20 @@ def test_server_handles_consecutive_connections(compliant_server):
     for _ in range(3):
         trace = run_scenario("handshake", target)
         assert trace.error_code == 0
+
+
+def test_no_close_follows_a_version_negotiation(compliant_server):
+    # RFC 9000 section 6.2: the client abandons the attempt, so its
+    # teardown sends nothing the server would answer with a second VN
+    target = target_of(compliant_server)
+    trace = run_scenario("version_negotiation", target)
+    # the server reads its socket in order, so by the time it answered
+    # this handshake it has answered anything the probe sent before it
+    assert run_scenario("handshake", target).error_code == 0
+    assert trace.error_code == 0
+    assert [p["direction"] for p in trace.packets] == ["tx", "rx"]
+    sent = [bytes.fromhex(entry["cleartext_hex"]) for entry in compliant_server.sent_log]
+    assert [packet_type_of(d) for d in sent].count(PacketType.VERSION_NEGOTIATION) == 1
 
 
 def test_stop_interrupts_blocked_read():

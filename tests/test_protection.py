@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import threading
@@ -23,8 +24,12 @@ from quicprobe.protection import (
     packet_number_length,
     retry_integrity_tag,
     seal_packet,
+    sha256,
     unprotect,
 )
+from quicprobe.faultsrv.server import server_scid
+from quicprobe.scenarios.core import REQUEST
+from quicprobe.traces import TraceBuilder, trace_filename
 from quicprobe.wire import (
     QUIC_V1,
     PacketHeader,
@@ -358,3 +363,65 @@ def test_reused_keys_open_a_good_packet_after_a_flipped_tag():
     good = seal_packet(_initial_header(1, 2), b"\x02" * 50, client)[0]
     header, recovered = unprotect(good, client, largest_pn=0)
     assert (header.packet_number, recovered) == (1, b"\x02" * 50)
+
+
+def test_sha256_matches_the_published_vector():
+    # FIPS 180-2, appendix B.1
+    assert sha256(b"abc") == bytes.fromhex(
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    )
+
+
+@given(st.binary(max_size=300))
+def test_sha256_matches_the_standard_library(data):
+    assert sha256(data) == hashlib.sha256(data).digest()
+
+
+def test_digested_names_are_unchanged():
+    # computed while these digests came from hashlib: a corpus written
+    # then keeps its file names, and the server its connection id
+    trace = TraceBuilder("handshake", 1, {"name": "a b"}).finalize(0)
+    assert trace_filename(trace) == "a_b-c8687a08_handshake.json"
+    assert server_scid(7) == bytes.fromhex("7cfe684d6022c38f")
+
+
+def exchange_digest(**server_config) -> str:
+    """SHA-256 over every datagram, in order and with its direction, of
+    the seeded in-memory handshake followed by one request."""
+    exchange = Exchange(**server_config)
+    digest = hashlib.sha256()
+    requested = False
+    for _ in range(40):
+        for datagram in exchange.to_server:
+            digest.update(b"c" + len(datagram).to_bytes(2, "big") + datagram)
+        datagram = exchange.next_to_client()
+        if datagram is None:
+            if requested or not exchange.conn.handshake_complete:
+                break
+            exchange.conn.send_stream(0, REQUEST, fin=True)
+            exchange.flush_client()
+            requested = True
+            continue
+        digest.update(b"s" + len(datagram).to_bytes(2, "big") + datagram)
+        exchange.receive(datagram)
+        exchange.flush_client()
+    exchange.stop()
+    assert requested and exchange.conn.stream(0).recv.delivered.startswith(b"<html>")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "server_config, expected",
+    [
+        ({}, "22cc5a055396b45e0be4caeca20d5e3f0d6698caf38afcd636b119b4a6cf533f"),
+        (
+            {"retry_above": 0},
+            "852ca7f351390fe990721bffcc3355bbd1b32190525dd912420f5f5661d49cf3",
+        ),
+    ],
+    ids=["direct", "retry"],
+)
+def test_the_seeded_exchange_sends_the_same_bytes(server_config, expected):
+    # a change that moves any byte of the seeded exchange fails here;
+    # the digests change only with a deliberate change of the wire
+    assert exchange_digest(**server_config) == expected
