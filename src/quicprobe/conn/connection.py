@@ -442,13 +442,17 @@ class Connection:
         self._flush()
 
     def close(self, error_code: int = 0, reason: str = "") -> None:
-        """Send CONNECTION_CLOSE at the highest level with send keys. After
-        a Version Negotiation, valid or not, nothing is sent: the attempt is
-        abandoned (RFC 9000 section 6.2), and a server holds no connection
-        for a version it does not speak."""
+        """Send CONNECTION_CLOSE at the highest level with send keys. Under
+        a version other than 1, or after any Version Negotiation, nothing
+        is sent: the attempt is abandoned (RFC 9000 section 6.2), and a
+        server holds no connection for a version it does not speak."""
         if self.closed or self.sock is None:
             return
-        if self.version_negotiation is not None or self.malformed_version_negotiation is not None:
+        if (
+            self.version != QUIC_V1
+            or self.version_negotiation is not None
+            or self.malformed_version_negotiation is not None
+        ):
             self.closed = True
             return
         level = EncryptionLevel.ONE_RTT

@@ -3,11 +3,13 @@
 Every wait of a connection is a generator step, in the sans-I/O shape of
 aioquic's ``QuicConnection``: ``Connection.pump`` yields ``(sock,
 timeout_s)``, and whatever waits on it (``run_until``, ``settle``, a
-scenario's ``run``) passes that up with ``yield from``; the reference
-server's ``FaultServer.task`` yields its waits too. ``drive`` is the only
-code of the program that waits: one ``selectors`` call over every socket
-a task waits on, up to the earliest deadline, and a poll that does not
-wait whenever a task begins a wait while others are queued to run.
+scenario's ``run``) passes that up with ``yield from``; so does the
+reference server's ``FaultServer.task``, which ``faultsrv.serve`` registers
+in ``SERVING`` to run beside every drive's tasks on the same thread.
+``drive`` is the only code of the program that waits: one ``selectors``
+call over every socket a task waits on, up to the earliest deadline, and
+a poll that does not wait whenever a task begins a wait while others are
+queued to run.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ import selectors
 import time
 from collections import deque
 from dataclasses import dataclass, field
+
+
+# callables that each return a fresh service generator for every drive
+SERVING: list = []
 
 
 @dataclass(eq=False, slots=True)
@@ -32,10 +38,12 @@ class _Task:
     deadline: float = 0.0
 
 
-def drive(tasks, services=()) -> list:
+def drive(tasks) -> list:
     """Run the generators ``tasks`` together on this thread until every
-    one has returned, and return their return values in order; then close
-    the generators ``services``, which run alongside them.
+    one has returned, and return their return values in order. A service
+    from each callable in ``SERVING`` runs alongside them; a last poll
+    runs those whose socket is readable, so a served server handles what
+    the tasks sent it, and then the services are closed.
 
     A task yields ``(sock, timeout_s)`` to wait until ``sock`` is readable
     or ``timeout_s`` has passed; a ``timeout_s`` of None never passes. It
@@ -81,7 +89,8 @@ def drive(tasks, services=()) -> list:
         return now
 
     spawn(root, list(tasks))
-    spawn(_Task(None, None, 0), list(services))  # a root no one waits for
+    spawn(_Task(None, None, 0), [service() for service in SERVING])  # a root no one waits for
+    drained = False
     with selectors.DefaultSelector() as selector:
         try:
             while True:
@@ -109,7 +118,11 @@ def drive(tasks, services=()) -> list:
                         # has arrived before they do
                         poll(0)
                 if root.pending == 0:
-                    return root.results
+                    if drained or not waiting:
+                        return root.results
+                    drained = True
+                    poll(0)  # only services still wait
+                    continue
                 wait_s = min(task.deadline for task in waiting) - time.monotonic()
                 now = poll(max(0.0, wait_s) if wait_s < math.inf else None)
                 for task in [task for task in waiting if task.deadline <= now]:

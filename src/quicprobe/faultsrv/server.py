@@ -14,7 +14,6 @@ Retry while it is busy, as servers under load do.
 from __future__ import annotations
 
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -63,7 +62,7 @@ from ..wire.transport_params import (
     TP_MAX_IDLE_TIMEOUT,
 )
 from ..conn.agents import build_ack
-from ..conn.driver import drive
+from ..conn.driver import SERVING
 from ..conn.streams import StreamRecv
 from .faults import BLOCKED_FRAME_COUNT, PRE_VALIDATION_BYTES, FaultSpec
 
@@ -411,7 +410,8 @@ class _ServerConn:
 
 class FaultServer:
     """The responder: ``start()`` binds its socket and ``task()`` serves
-    it as a task of ``conn.drive``, on whichever loop drives it."""
+    it as a task of ``conn.drive``; ``serve()`` registers that task as a
+    service of every drive, and ``stop()`` unregisters it."""
 
     def __init__(self, config: ServerConfig):
         self.config = config
@@ -432,9 +432,6 @@ class FaultServer:
         self.conns: dict[tuple, _ServerConn] = {}
         self.sent_log: list[dict] = []
         self.errors: list[str] = []  # socket and handler errors, one repr each
-        # set by serve(): its thread, and the socket whose one byte ends it
-        self._thread: threading.Thread | None = None
-        self._wake: socket.socket | None = None
 
     @property
     def port(self) -> int:
@@ -457,11 +454,8 @@ class FaultServer:
         return self
 
     def stop(self) -> None:
-        if self._thread is not None:
-            self._wake.send(b"\x00")
-            self._thread.join(timeout=2)
-            self._wake.close()
-            self._thread = self._wake = None
+        if self.task in SERVING:
+            SERVING.remove(self.task)
         if self.sock is not None:
             self.sock.close()
             self.sock = None
@@ -575,19 +569,11 @@ class FaultServer:
         self.sendto(datagram, addr)
 
 
-def _until_readable(sock: socket.socket):
-    with sock:
-        yield sock, None
-
-
 def serve(config: ServerConfig) -> FaultServer:
-    """Start a server on a thread of its own, named ``faultsrv``, for a
-    caller that runs a loop of its own: the thread drives the server's
-    task until the handle's stop() wakes it, and stop() then joins it."""
+    """Start a server that every ``conn.drive`` serves beside its own
+    tasks until the handle's stop(): the server answers while the
+    caller's connections wait, and handles what they sent last before
+    ``drive`` returns."""
     server = FaultServer(config).start()
-    woken, server._wake = socket.socketpair()
-    server._thread = threading.Thread(
-        target=drive, args=([_until_readable(woken)], [server.task()]), name="faultsrv", daemon=True
-    )
-    server._thread.start()
+    SERVING.append(server.task)
     return server

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import struct
-import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -93,9 +92,8 @@ class KeyMaterial:
     ``key_material_from_secret`` keeps the 64 it built last and hands
     the same object to every caller of the same secret, so one
     ``KeyMaterial`` may serve several connections and the reference
-    server at once, from any thread. The header-protection encryptor
-    keeps state between calls, so ``seal_packet`` and ``open_packet`` use
-    the ciphers only while holding ``lock``.
+    server at once. The header-protection encryptor keeps state between
+    calls, so a key belongs to one thread, the one that runs ``drive``.
     """
 
     level: EncryptionLevel
@@ -105,7 +103,6 @@ class KeyMaterial:
     header_protection_key: bytes
     aead: AESGCM = field(init=False, repr=False, compare=False)
     hp_encryptor: CipherContext = field(init=False, repr=False, compare=False)
-    lock: threading.Lock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assert len(self.key) == AEAD_KEY_LEN
@@ -114,7 +111,6 @@ class KeyMaterial:
         object.__setattr__(self, "aead", AESGCM(self.key))
         hp = Cipher(algorithms.AES(self.header_protection_key), modes.ECB())
         object.__setattr__(self, "hp_encryptor", hp.encryptor())
-        object.__setattr__(self, "lock", threading.Lock())
 
 
 def sha256(data: bytes) -> bytes:
@@ -234,9 +230,8 @@ def seal_packet(
     aad = join_header(parts, cleartext_len + AEAD_TAG_LEN)
     nonce = _nonce(keys.iv, header.packet_number)
     sample_at = 4 - header.pn_length  # into the ciphertext, which follows the pn field
-    with keys.lock:
-        ciphertext = keys.aead.encrypt(nonce, plaintext, aad)
-        mask = keys.hp_encryptor.update(ciphertext[sample_at : sample_at + HP_SAMPLE_LEN])
+    ciphertext = keys.aead.encrypt(nonce, plaintext, aad)
+    mask = keys.hp_encryptor.update(ciphertext[sample_at : sample_at + HP_SAMPLE_LEN])
 
     packet = bytearray(aad + ciphertext)
     pn_offset = len(aad) - header.pn_length
@@ -278,8 +273,7 @@ def open_packet(
     if end > len(buf):
         raise TruncationError("declared length exceeds datagram", offset=pn_offset)
     sample = buf[pn_offset + 4 : pn_offset + 4 + HP_SAMPLE_LEN]
-    with keys.lock:
-        mask = keys.hp_encryptor.update(sample)
+    mask = keys.hp_encryptor.update(sample)
 
     packet = bytearray(buf)
     packet[0] ^= mask[0] & (0x0F if header.is_long else 0x1F)
@@ -293,8 +287,7 @@ def open_packet(
     ciphertext = bytes(packet[pn_offset + pn_length : end])
     nonce = _nonce(keys.iv, packet_number)
     try:
-        with keys.lock:
-            plaintext = keys.aead.decrypt(nonce, ciphertext, aad)
+        plaintext = keys.aead.decrypt(nonce, ciphertext, aad)
     except InvalidTag:
         raise DecryptError(f"AEAD authentication failed for {keys.level.label} packet")
 

@@ -1,11 +1,12 @@
 """Checks that hold for every test."""
 
 import contextlib
-import threading
 import warnings
 
 import pytest
 from hypothesis import Phase, settings
+
+from quicprobe.conn import driver
 
 # When a property fails, Hypothesis's pytest plugin imports its patch writer,
 # which imports libcst, which raises a DeprecationWarning; the warning filters
@@ -21,11 +22,12 @@ settings.load_profile("no_explain")
 
 @pytest.fixture(autouse=True)
 def no_leaked_fault_server():
-    """Fail a test after which a reference-server thread it started is
-    still alive: a server it never stopped keeps its sockets open until
-    the process exits, so no ResourceWarning would show it."""
-    before = set(threading.enumerate())
+    """Fail a test after which a server it served is still registered:
+    every later ``drive`` would serve it, and a server never stopped
+    keeps its socket open until the process exits, so no ResourceWarning
+    would show it."""
     yield
-    leaked = [t for t in threading.enumerate() if t.name == "faultsrv" and t not in before]
-    if leaked:
-        pytest.fail(f"{len(leaked)} faultsrv thread(s) still alive: stop() every server started")
+    if driver.SERVING:
+        leaked = list(driver.SERVING)
+        driver.SERVING.clear()
+        pytest.fail(f"{len(leaked)} served server(s) still registered: stop() every server started")

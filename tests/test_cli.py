@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quicprobe.cli import main as quicprobe_main, parse_targets_file
-from quicprobe.conn import Connection, drive, perform_handshake
+from quicprobe.conn import Connection, driver, drive, perform_handshake
 from quicprobe.faultsrv import FaultServer, FaultSpec, ServerConfig, serve
 from quicprobe.faultsrv import cli as faultsrv_cli
 from quicprobe.faultsrv.cli import main as faultsrv_main
@@ -229,9 +229,8 @@ def test_faultsrv_prints_the_servers_errors_and_fails(capsys, monkeypatch, serve
         raise KeyboardInterrupt
 
     # the server's task runs until the stand-in interrupts the loop
-    monkeypatch.setattr(
-        faultsrv_cli, "drive", lambda tasks: drive([hello_of_another_seed()], services=tasks)
-    )
+    monkeypatch.setattr(driver, "SERVING", [lambda: served[0].task()])
+    monkeypatch.setattr(faultsrv_cli, "drive", lambda tasks: drive([hello_of_another_seed()]))
     rc = faultsrv_main(["--listen", "127.0.0.1:0"])
     assert served[0].errors
     assert rc == 1
@@ -259,9 +258,8 @@ def test_faultsrv_serves_on_the_thread_that_runs_it(capsys, monkeypatch, served)
         raise AssertionError(f"thread {thread.name} started")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    monkeypatch.setattr(
-        faultsrv_cli, "drive", lambda tasks: drive([handshake_then_interrupt()], services=tasks)
-    )
+    monkeypatch.setattr(driver, "SERVING", [lambda: served[0].task()])
+    monkeypatch.setattr(faultsrv_cli, "drive", lambda tasks: drive([handshake_then_interrupt()]))
     assert faultsrv_main(["--listen", "127.0.0.1:0"]) == 0
     # the server answered the handshake, and kept no log of it: nothing in
     # the CLI reads one, and a long-running server must not grow

@@ -6,8 +6,7 @@ import time
 
 import pytest
 
-from quicprobe.conn import Connection, drive
-import quicprobe.scenarios as scenarios_module
+from quicprobe.conn import Connection, driver, drive
 from quicprobe.faultsrv import FAULT_EXPECTATIONS, FaultServer, FaultSpec, ServerConfig, serve
 from quicprobe.scenarios import ScenarioContext, SuitePlan, run_suite, scenario_order
 
@@ -168,7 +167,7 @@ def test_an_exception_closes_every_other_task(pairs):
         pytest.fail("the task's exception did not propagate")
 
 
-def test_a_service_is_closed_once_the_last_task_returns(pairs):
+def test_a_service_is_closed_once_the_last_task_returns(monkeypatch, pairs):
     (a, _), (b, b_peer), _ = pairs
     served, closed = [], []
 
@@ -179,15 +178,35 @@ def test_a_service_is_closed_once_the_last_task_returns(pairs):
         finally:
             closed.append(True)
 
+    monkeypatch.setattr(driver, "SERVING", [service])
     b_peer.send(b"x")
     log = []
-    assert drive([waiter("task", b, 1.0, log)], services=[service()]) == ["task"]
+    assert drive([waiter("task", b, 1.0, log)]) == ["task"]
     assert [name for name, _, _ in log] == ["task"]
     assert served == [] and closed == [True]
-    assert drive([], services=[service()]) == [] and closed == [True, True]
+    assert drive([]) == [] and closed == [True, True]
 
 
-def test_an_exception_in_a_service_closes_the_tasks_and_propagates(pairs):
+def test_a_service_handles_what_a_task_sent_as_it_returned(monkeypatch, pairs):
+    (a, a_peer), (b, _), _ = pairs
+    handled = []
+
+    def service():
+        while True:
+            yield a, None
+            handled.append(a.recv(16))
+
+    def send_last():
+        yield b, 0
+        a_peer.send(b"last")
+        return "sent"
+
+    monkeypatch.setattr(driver, "SERVING", [service])
+    assert drive([send_last()]) == ["sent"]
+    assert handled == [b"last"]
+
+
+def test_an_exception_in_a_service_closes_the_tasks_and_propagates(monkeypatch, pairs):
     (a, _), (b, b_peer), _ = pairs
     closed = []
 
@@ -201,10 +220,11 @@ def test_an_exception_in_a_service_closes_the_tasks_and_propagates(pairs):
         yield b, None
         raise RuntimeError("service bug")
 
+    monkeypatch.setattr(driver, "SERVING", [failing_service])
     b_peer.send(b"x")
     t0 = time.monotonic()
     try:
-        drive([waits_long()], services=[failing_service()])
+        drive([waits_long()])
     except RuntimeError as exc:
         assert str(exc) == "service bug"
         assert closed == [True] and time.monotonic() - t0 < 1.0
@@ -305,6 +325,25 @@ def test_a_suite_starts_no_thread(monkeypatch, compliant_server):
     assert [t.error_code for t in traces] == [0] * len(traces)
 
 
+def test_a_served_suite_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for fault in ("none", "tp_duplicate"):  # the compliant suite and a matrix row
+        server = serve(ServerConfig(fault=FaultSpec(name=fault)))
+        target = {"name": "loopback", "host": "127.0.0.1", "port": server.port}
+        plan = SuitePlan(targets=[target], seed=11, timeout_ms=2000)
+        try:
+            traces = run_suite(plan)
+        finally:
+            server.stop()
+        assert {t.scenario: t.error_code for t in traces} == {
+            name: FAULT_EXPECTATIONS[fault].get(name, 0) for name in plan.scenarios
+        }, fault
+        assert server.errors == [], fault
+
+
 # faults whose suite waits out its timeout for an answer that never comes
 TIMED_OUT_FAULTS = {"no_ticket", "reorder_livelock", "stall_after_sh", "vn_silent"}
 
@@ -318,9 +357,7 @@ def test_the_reference_server_serves_suites_on_the_clients_loop(monkeypatch):
     assert len(faults) == 10  # the compliant server and 9 of the 13 faults
     for fault in faults:
         server = FaultServer(ServerConfig(fault=FaultSpec(name=fault))).start()
-        monkeypatch.setattr(
-            scenarios_module, "drive", lambda tasks: drive(tasks, services=[server.task()])
-        )
+        monkeypatch.setattr(driver, "SERVING", [server.task])
         target = {"name": "loopback", "host": "127.0.0.1", "port": server.port}
         plan = SuitePlan(targets=[target], seed=2, timeout_ms=2000)
         try:

@@ -77,12 +77,14 @@ def test_interleaved_connections_on_one_server():
             conn.send_stream(0, b"GET /index.html\r\n", fin=True)
             drive([conn.run_until(lambda: conn.stream(0).recv.finished, 3.0)])
             assert conn.stream(0).recv.delivered.endswith(b"</html>")
-        for conn in conns:
+
+        def close(conn):
             conn.close()
             conn.stop()
-        deadline = time.monotonic() + 2.0
-        while server.conns and time.monotonic() < deadline:
-            time.sleep(0.01)
+            yield from ()
+
+        # the server handles both closes before drive returns
+        drive([close(conn) for conn in conns])
         assert server.conns == {}
 
 

@@ -3,14 +3,13 @@
 import errno
 import os
 import selectors
-import sys
-import threading
+import socket
 import time
 import types
 
 import pytest
 
-from quicprobe.conn import Connection
+from quicprobe.conn import Connection, drive
 from quicprobe.conn import driver as driver_module
 from quicprobe.dissector import coverage_ok, dissect, quic_v1_description
 from quicprobe.faultsrv import FAULT_EXPECTATIONS, FaultSpec, ServerConfig, default_body, serve
@@ -153,6 +152,27 @@ def test_no_close_follows_a_version_negotiation(compliant_server):
     assert [packet_type_of(d) for d in sent].count(PacketType.VERSION_NEGOTIATION) == 1
 
 
+def test_no_close_follows_a_probe_no_server_answered():
+    # the attempt under an unknown version is abandoned all the same: the
+    # one packet sent is the probe, none is a close under that version
+    server = serve(ServerConfig(fault=FaultSpec(name="vn_silent")))
+    try:
+        trace = run_scenario("version_negotiation", target_of(server), timeout_ms=300)
+    finally:
+        server.stop()
+    assert server.errors == [] and server.sent_log == []
+    assert trace.error_code == codes.PREREQ_VN_NO_RESPONSE
+    assert [p["direction"] for p in trace.packets] == ["tx"]
+
+
+def test_a_served_server_holds_no_connection_once_a_suite_returns(compliant_server):
+    # drive's last poll hands the server every scenario's closing packet
+    for seed in range(5):
+        plan = SuitePlan(targets=[target_of(compliant_server)], seed=seed)
+        assert [t.error_code for t in run_suite(plan)] == [0] * len(plan.scenarios)
+        assert compliant_server.conns == {}, seed
+
+
 def test_stop_interrupts_blocked_read():
     server = serve(ServerConfig())
     t0 = time.monotonic()
@@ -162,6 +182,8 @@ def test_stop_interrupts_blocked_read():
 
 
 def test_idle_server_sleeps_until_stopped(monkeypatch):
+    # an idle served server adds no wakeup to a drive that waits on
+    # something else: one select, which lasts until the task's deadline
     calls = []
 
     class CountingSelector(selectors.DefaultSelector):
@@ -175,13 +197,19 @@ def test_idle_server_sleeps_until_stopped(monkeypatch):
         "selectors",
         types.SimpleNamespace(DefaultSelector=CountingSelector, EVENT_READ=selectors.EVENT_READ),
     )
-    before = set(threading.enumerate())
     server = serve(ServerConfig())
-    (thread,) = set(threading.enumerate()) - before
-    time.sleep(0.3)
-    server.stop()
-    assert len(calls) == 1, calls  # one wait, and the count is not vacuous
-    assert not thread.is_alive()
+    quiet, peer = socket.socketpair()
+
+    def wait_quietly():
+        return (yield quiet, 0.3)
+
+    try:
+        assert drive([wait_quietly()]) == [None]
+    finally:
+        quiet.close()
+        peer.close()
+        server.stop()
+    assert calls == [pytest.approx(0.3, abs=0.05)]  # one wait, not vacuous
     assert server.sock is None
 
 
@@ -221,14 +249,11 @@ def test_reordering_settles_only_after_an_answer(monkeypatch, compliant_server):
 )
 def test_settle_judged_verdicts_hold_under_fast_thread_switching(fault, scenario):
     # a settle that ends on the peer's silence must still see all of what
-    # the server sends when the client and server threads interleave finely
+    # the server sends, in every one of ten runs
     server = serve(ServerConfig(fault=FaultSpec(name=fault)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
     try:
         traces = [run_scenario(scenario, target_of(server), timeout_ms=2000) for _ in range(10)]
     finally:
-        sys.setswitchinterval(interval)
         server.stop()
     assert server.errors == []
     want = FAULT_EXPECTATIONS[fault].get(scenario, 0)
@@ -262,10 +287,11 @@ def test_each_client_datagram_costs_the_server_one_header_read(monkeypatch):
 
     reads = []
     datagrams = []
+    handling = []  # the datagram the server is handling, if any
 
     def counting(read_header):
         def read_in_server(*args, **kwargs):
-            if threading.current_thread().name == "faultsrv":
+            if handling:
                 reads.append(args[0])
             return read_header(*args, **kwargs)
 
@@ -277,7 +303,11 @@ def test_each_client_datagram_costs_the_server_one_header_read(monkeypatch):
 
     def counting_handle(server, data, addr):
         datagrams.append(data)
-        return handle(server, data, addr)
+        handling.append(data)
+        try:
+            return handle(server, data, addr)
+        finally:
+            handling.pop()
 
     monkeypatch.setattr(server_module.FaultServer, "_handle_datagram", counting_handle)
     server = serve(ServerConfig())
@@ -357,15 +387,9 @@ def test_two_parallel_targets():
 
 
 def test_two_parallel_targets_on_one_server(compliant_server):
-    # every scenario of both targets at once: fourteen interleaved clients,
-    # with threads switched far more often than by default
+    # every scenario of both targets at once: fourteen interleaved clients
     port = compliant_server.port
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        _run_two_parallel_targets([port, port], sorted(ALL_SCENARIOS))
-    finally:
-        sys.setswitchinterval(interval)
+    _run_two_parallel_targets([port, port], sorted(ALL_SCENARIOS))
 
 
 def _is_retry(entry) -> bool:

@@ -53,10 +53,10 @@ def test_no_module_sleeps():
     assert calls + importers("time.sleep") == []
 
 
-def test_only_serve_and_the_key_lock_use_threading():
-    # serve() runs a server on a thread for embedding; KeyMaterial.lock
-    # guards ciphers that serve()'s thread shares with the client
-    assert importers("threading") == ["faultsrv/server.py", "protection/packet.py"]
+def test_no_module_uses_threading():
+    # serve() registers its server with drive, which runs it on the
+    # caller's thread, so no key or log is shared between threads
+    assert importers("threading") == []
 
 
 def test_no_module_imports_inside_a_function():

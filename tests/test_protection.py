@@ -1,8 +1,5 @@
 import hashlib
 import random
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -300,46 +297,6 @@ def test_key_material_compares_and_prints_by_its_keys_alone():
     assert first is second
     assert repr(first) == repr(second) == repr(built)
     assert "aead" not in repr(first) and "encryptor" not in repr(first)
-
-
-def test_one_key_material_serves_eight_threads_at_once():
-    keys = key_material_from_secret(bytes(range(32, 64)), EncryptionLevel.ONE_RTT, "client")
-    start = threading.Barrier(8)
-
-    def protect_and_open(seed):
-        rng = random.Random(seed)
-        start.wait()
-        done = []
-        for _ in range(250):
-            pn_length = rng.randint(1, 4)
-            header = PacketHeader(
-                packet_type=PacketType.ONE_RTT,
-                dcid=DCID,
-                scid=b"",
-                packet_number=rng.randrange(1 << (8 * pn_length)),
-                pn_length=pn_length,
-            )
-            payload = rng.randbytes(rng.randint(4, 1400))
-            packet = seal_packet(header, payload, keys)[0]
-            parsed, recovered = unprotect(
-                packet, keys, largest_pn=header.packet_number - 1, short_dcid_len=len(DCID)
-            )
-            done.append((header, payload, packet, parsed.packet_number, recovered))
-        return done
-
-    # switch threads as often as the interpreter can, so that calls on
-    # the shared ciphers interleave
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = [row for rows in pool.map(protect_and_open, range(8)) for row in rows]
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(results) == 2000
-    for header, payload, packet, packet_number, recovered in results:
-        assert packet == fresh_cipher_protect(header, payload, keys)
-        assert (recovered, packet_number) == (payload, header.packet_number)
 
 
 def test_the_server_opens_a_connection_with_the_clients_initial_keys():

@@ -7,7 +7,7 @@ import socket
 
 import pytest
 
-from quicprobe.conn import drive
+from quicprobe.conn import driver, drive
 from quicprobe.faultsrv import FaultServer, ServerConfig
 from quicprobe.scenarios.core import RESERVED_VERSION
 from quicprobe.wire import PacketType, parse_header
@@ -100,7 +100,7 @@ class ScriptedSocket:
             sock.close()
 
 
-def test_a_socket_error_is_recorded_and_the_server_keeps_serving():
+def test_a_socket_error_is_recorded_and_the_server_keeps_serving(monkeypatch):
     exchange = Exchange()
     hello = exchange.to_server.pop(0)
     exchange.stop()
@@ -112,8 +112,9 @@ def test_a_socket_error_is_recorded_and_the_server_keeps_serving():
     def until_answered():
         yield sock.answered, 5.0  # a server that stopped serving fails below
 
+    monkeypatch.setattr(driver, "SERVING", [server.task])
     try:
-        drive([until_answered()], services=[server.task()])
+        drive([until_answered()])
     finally:
         sock.close()
     assert server.errors == [repr(refused)]
